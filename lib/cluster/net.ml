@@ -14,7 +14,14 @@
    into the per-core RESET offsets of the node's machine model, so code
    running *inside* a node's engine ({!run_node}) sees exactly the same
    skewed clocks as protocol code reading {!clock}: the composed boundary
-   measured over messages covers both. *)
+   measured over messages covers both.
+
+   Busy nodes.  A node charged with {!busy} occupancy defers the events
+   that reach it.  They wait in the node's FIFO inbox, represented in the
+   heap by a single wake entry, and run in exactly the order the simplest
+   model gives — pop each one for a busy node and push it back at
+   [busy_until] with a fresh seq — without that model's pop per waiting
+   event per event served (see [step]). *)
 
 module Machine = Ordo_sim.Machine
 module Engine = Ordo_sim.Engine
@@ -170,15 +177,64 @@ module Spec = struct
     { t with overrides = [ ((1, 0), slow) ] }
 end
 
+(* One delivery or timer for [node], live while the node is on
+   incarnation [inc].  A node's wake is the same record with [inc =
+   wake_inc], so the heap payload stays one record and costs no boxing. *)
+type pend = { node : int; inc : int; fn : unit -> unit }
+
+let wake_inc = -1
+
+(* FIFO ring of the events deferred behind one busy node, each with the
+   [(time, seq)] key its re-push would have had.  Keys ascend from head to
+   tail; the ring never holds an event of a past incarnation ([kill]
+   empties it).  [wake] doubles as the filler of vacated slots. *)
+type inbox = {
+  mutable evs : pend array;
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable head : int;
+  mutable len : int;
+  wake : pend;
+}
+
+let inbox_push ib ev ~time ~seq =
+  let cap = Array.length ib.evs in
+  if ib.len = cap then begin
+    let ncap = max 16 (2 * cap) in
+    let evs = Array.make ncap ib.wake and times = Array.make ncap 0 in
+    let seqs = Array.make ncap 0 in
+    for k = 0 to ib.len - 1 do
+      let j = (ib.head + k) land (cap - 1) in
+      evs.(k) <- ib.evs.(j);
+      times.(k) <- ib.times.(j);
+      seqs.(k) <- ib.seqs.(j)
+    done;
+    ib.evs <- evs;
+    ib.times <- times;
+    ib.seqs <- seqs;
+    ib.head <- 0
+  end;
+  let j = (ib.head + ib.len) land (Array.length ib.evs - 1) in
+  ib.evs.(j) <- ev;
+  ib.times.(j) <- time;
+  ib.seqs.(j) <- seq;
+  ib.len <- ib.len + 1
+
+let inbox_take ib =
+  let ev = ib.evs.(ib.head) in
+  ib.evs.(ib.head) <- ib.wake;
+  ib.head <- (ib.head + 1) land (Array.length ib.evs - 1);
+  ib.len <- ib.len - 1;
+  ev
+
 type node = {
   inst : Engine.Instance.i;
   machine : Machine.t;  (* node clock offset folded into reset_ns *)
   mutable busy_until : int;
   mutable alive : bool;
   mutable incarnation : int;  (* bumped by kill: pre-death events never reach a restart *)
+  inbox : inbox;
 }
-
-type pend = { node : int; inc : int; fn : unit -> unit }
 
 type 'm t = {
   spec : Spec.t;
@@ -192,6 +248,7 @@ type 'm t = {
   mutable sent_ : int;
   mutable delivered_ : int;
   mutable dropped_ : int;
+  mutable pops_ : int;
 }
 
 let fold_offset (m : Machine.t) off =
@@ -219,6 +276,15 @@ let create (spec : Spec.t) =
           busy_until = 0;
           alive = true;
           incarnation = 0;
+          inbox =
+            {
+              evs = [||];
+              times = [||];
+              seqs = [||];
+              head = 0;
+              len = 0;
+              wake = { node = i; inc = wake_inc; fn = ignore };
+            };
         })
   in
   (* One generator per directed link, derived from the spec seed and the
@@ -243,6 +309,7 @@ let create (spec : Spec.t) =
     sent_ = 0;
     delivered_ = 0;
     dropped_ = 0;
+    pops_ = 0;
   }
 
 let spec t = t.spec
@@ -251,6 +318,7 @@ let now t = t.now_
 let sent t = t.sent_
 let delivered t = t.delivered_
 let dropped t = t.dropped_
+let pops t = t.pops_
 let offset_truth t n = t.offsets.(n)
 let node_machine t n = t.node_tbl.(n).machine
 let on_message t f = t.handler <- f
@@ -285,6 +353,15 @@ let kill t n =
   if nd.alive then begin
     nd.alive <- false;
     nd.incarnation <- nd.incarnation + 1;
+    (* The deferred events now belong to a dead incarnation: put each back
+       in the heap under its own key, to be dropped when it pops, as an
+       in-flight event is.  The inbox's wake is left behind in the heap;
+       [step] skips it because it no longer names the inbox head. *)
+    let ib = nd.inbox in
+    while ib.len > 0 do
+      let time = ib.times.(ib.head) and seq = ib.seqs.(ib.head) in
+      Heap.push_seq t.q ~time ~seq (inbox_take ib)
+    done;
     if Trace.enabled () then
       Trace.emit ~tid:n ~time:t.now_ Trace.Probe ~a:(Trace.intern "net.kill") ~b:n
         ~c:nd.incarnation
@@ -346,22 +423,76 @@ let busy t n ns =
   let nd = t.node_tbl.(n) in
   nd.busy_until <- max nd.busy_until t.now_ + ns
 
-(* Deliveries and timers targeting a busy node are deferred to the instant
-   the node frees up (re-pushed in pop order, so FIFO among the deferred).
-   Events addressed to a dead node — or to an incarnation that has since
-   been killed — are dropped and counted. *)
+(* Deliveries and timers reaching a busy node wait in its inbox.  The
+   order they run in is exactly the one a plain heap gives when each such
+   event is popped and pushed back at [busy_until] with a fresh seq, once
+   per event the node serves; the inbox reaches it without those pops:
+
+   - An event popped for a busy node is appended to the inbox under the
+     key the re-push would have given it: [(busy_until, fresh seq)].
+   - The heap holds one wake per non-empty inbox, keyed by the head's own
+     key, so the head pops exactly when its re-push would have.
+   - When a wake pops, the head runs if the node is free; then [settle]
+     replays the re-pushes the heap would have made next.  While the node
+     is busy and the head's key is below every heap entry, the head is the
+     next pop, so it is re-stamped to [(busy_until, fresh seq)] and moved to
+     the tail without touching the heap.  The first head that is not
+     re-stamped gets the wake at its own key: at [(now, seq)] when the
+     node is still free, or as a stale wake at [(t, seq)] when another
+     entry at the same instant [t] comes between.
+
+   Keys stay ascending along the inbox because [busy_until] never moves
+   back while the node is alive and fresh seqs only grow.  A native event
+   that pops at the instant of a stale wake, runs and makes the node busy
+   therefore sends the next deferred event to the tail, behind the stale
+   head: that head re-stamps later, with a larger seq, as its re-push
+   would.  Events addressed to a dead node — or to an incarnation that
+   has since been killed — are dropped and counted. *)
+let settle t nd =
+  let ib = nd.inbox in
+  let rec go () =
+    if ib.len > 0 then begin
+      let time = ib.times.(ib.head) and seq = ib.seqs.(ib.head) in
+      let qt = Heap.next_time t.q in
+      if nd.busy_until > time && (time < qt || (time = qt && seq < Heap.min_seq t.q)) then begin
+        inbox_push ib (inbox_take ib) ~time:nd.busy_until ~seq:(Heap.reserve_seq t.q);
+        go ()
+      end
+      else Heap.push_seq t.q ~time ~seq ib.wake
+    end
+  in
+  go ()
+
 let step t =
-  match Heap.pop t.q with
-  | None -> false
-  | Some (time, ev) ->
+  if Heap.is_empty t.q then false
+  else begin
+    let time = Heap.next_time t.q and seq = Heap.min_seq t.q in
+    let ev = Heap.pop_exn t.q in
+    t.pops_ <- t.pops_ + 1;
     let nd = t.node_tbl.(ev.node) in
-    if (not nd.alive) || ev.inc <> nd.incarnation then t.dropped_ <- t.dropped_ + 1
-    else if nd.busy_until > time then Heap.push t.q ~time:nd.busy_until ev
+    let ib = nd.inbox in
+    if ev.inc = wake_inc then begin
+      if ib.len > 0 && ib.seqs.(ib.head) = seq then begin
+        if nd.busy_until <= time then begin
+          let head = inbox_take ib in
+          if time > t.now_ then t.now_ <- time;
+          head.fn ()
+        end;
+        settle t nd
+      end
+    end
+    else if (not nd.alive) || ev.inc <> nd.incarnation then t.dropped_ <- t.dropped_ + 1
+    else if nd.busy_until > time then begin
+      let seq = Heap.reserve_seq t.q in
+      inbox_push ib ev ~time:nd.busy_until ~seq;
+      if ib.len = 1 then Heap.push_seq t.q ~time:nd.busy_until ~seq ib.wake
+    end
     else begin
       if time > t.now_ then t.now_ <- time;
       ev.fn ()
     end;
     true
+  end
 
 let run t = while step t do () done
 

@@ -132,13 +132,26 @@ val busy : 'm t -> int -> int -> unit
 (** [busy t n ns] charges [ns] of service occupancy to node [n]:
     deliveries and timers reaching a busy node are deferred until it
     frees up.  This is what makes a centralized service (e.g. a
-    sequencer node) a contended resource. *)
+    sequencer node) a contended resource.
+
+    Deferred events wait in a per-node FIFO inbox, and the event queue
+    holds one wake per non-empty inbox.  They run in exactly the order a
+    plain queue gives when every event popped for a busy node is pushed
+    back at the instant it frees up, behind everything already queued
+    there — including events at the same instant that pop between two
+    waiting ones.  A waiting event therefore costs no queue operations
+    while the node serves the events ahead of it ({!pops}). *)
 
 val step : 'm t -> bool
 (** Process one event; [false] when the queue is empty. *)
 
 val run : 'm t -> unit
 (** Drain the event queue. *)
+
+val pops : 'm t -> int
+(** Event-queue pops so far: every event run or dropped, every inbox
+    wake, and every event popped for a busy node once, when it enters
+    the inbox. *)
 
 val sent : 'm t -> int
 

@@ -40,10 +40,8 @@ let grow t payload =
     t.data <- data
   end
 
-let push t ~time payload =
+let push_seq t ~time ~seq payload =
   grow t payload;
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
   let times = t.times and seqs = t.seqs and data = t.data in
   (* Sift the hole up: parents later than the new key move down a level;
      the new entry is written once, at its final position. *)
@@ -64,6 +62,13 @@ let push t ~time payload =
   Array.unsafe_set times !i time;
   Array.unsafe_set seqs !i seq;
   Array.unsafe_set data !i payload
+
+let reserve_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let push t ~time payload = push_seq t ~time ~seq:(reserve_seq t) payload
 
 let pop_exn t =
   if t.len = 0 then invalid_arg "Heap.pop_exn: empty heap";
@@ -117,3 +122,4 @@ let pop t =
 
 let min_time t = if t.len = 0 then None else Some t.times.(0)
 let next_time t = if t.len = 0 then max_int else Array.unsafe_get t.times 0
+let min_seq t = if t.len = 0 then max_int else Array.unsafe_get t.seqs 0

@@ -17,6 +17,16 @@ val size : 'a t -> int
 val push : 'a t -> time:int -> 'a -> unit
 (** Insert with the next sequence number. *)
 
+val reserve_seq : 'a t -> int
+(** Take the next sequence number without inserting anything: every
+    later {!push} orders after it on a time tie. *)
+
+val push_seq : 'a t -> time:int -> seq:int -> 'a -> unit
+(** Insert under an explicit sequence number — one from {!reserve_seq},
+    or the key of an entry that was taken out of the heap and is put
+    back where it stood.  Keys should stay unique: on an equal
+    [(time, seq)] the pop order of two entries is unspecified. *)
+
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the minimum [(time, payload)]. *)
 
@@ -32,3 +42,7 @@ val next_time : 'a t -> int
 (** Time key of the minimum entry, or [max_int] when empty — the
     allocation-free variant of {!min_time} for the per-operation horizon
     check. *)
+
+val min_seq : 'a t -> int
+(** Sequence number of the minimum entry (the tie-breaker of
+    {!next_time}), or [max_int] when empty. *)

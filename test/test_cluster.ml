@@ -146,6 +146,205 @@ let test_network_deterministic () =
   in
   check Alcotest.bool "identical delivery history" true (run () = run ())
 
+(* ---- busy deferral ---- *)
+
+module Heap = Ordo_sim.Heap
+module Rng = Ordo_util.Rng
+
+(* Reference stepping: every event popped for a busy node is pushed back
+   at [busy_until] with a fresh seq.  [Net]'s inboxes must run events in
+   exactly this order. *)
+module Repush = struct
+  type ev = { node : int; inc : int; fn : unit -> unit }
+
+  type t = {
+    q : ev Heap.t;
+    busy_until : int array;
+    alive : bool array;
+    incarnation : int array;
+    mutable now : int;
+    mutable dropped : int;
+  }
+
+  let create n =
+    {
+      q = Heap.create ();
+      busy_until = Array.make n 0;
+      alive = Array.make n true;
+      incarnation = Array.make n 0;
+      now = 0;
+      dropped = 0;
+    }
+
+  let at t ~node ~delay fn =
+    Heap.push t.q ~time:(t.now + delay) { node; inc = t.incarnation.(node); fn }
+
+  let busy t n ns = t.busy_until.(n) <- max t.busy_until.(n) t.now + ns
+
+  let kill t n =
+    if t.alive.(n) then begin
+      t.alive.(n) <- false;
+      t.incarnation.(n) <- t.incarnation.(n) + 1
+    end
+
+  let revive t n =
+    if not t.alive.(n) then begin
+      t.alive.(n) <- true;
+      t.busy_until.(n) <- t.now
+    end
+
+  let rec run t =
+    match Heap.pop t.q with
+    | None -> ()
+    | Some (time, ev) ->
+      let n = ev.node in
+      if (not t.alive.(n)) || ev.inc <> t.incarnation.(n) then t.dropped <- t.dropped + 1
+      else if t.busy_until.(n) > time then Heap.push t.q ~time:t.busy_until.(n) ev
+      else begin
+        t.now <- max t.now time;
+        ev.fn ()
+      end;
+      run t
+end
+
+type driver = {
+  at : node:int -> delay:int -> (unit -> unit) -> unit;
+  busy : int -> int -> unit;
+  kill : int -> unit;
+  revive : int -> unit;
+  now : unit -> int;
+  run : unit -> bool;  (* false: the queue did not drain *)
+  dropped : unit -> int;
+}
+
+let net_driver n =
+  let net : unit Net.t = Net.create (Spec.make ~machine:"amd" n) in
+  {
+    at = (fun ~node ~delay fn -> Net.at net ~node ~delay fn);
+    busy = Net.busy net;
+    kill = Net.kill net;
+    revive = Net.revive net;
+    now = (fun () -> Net.now net);
+    (* A step budget turns a stepping bug that loops into a mismatch. *)
+    run =
+      (fun () ->
+        let steps = ref 0 in
+        while !steps < 100_000 && Net.step net do
+          incr steps
+        done;
+        !steps < 100_000);
+    dropped = (fun () -> Net.dropped net);
+  }
+
+let repush_driver n =
+  let r = Repush.create n in
+  {
+    at = Repush.at r;
+    busy = Repush.busy r;
+    kill = Repush.kill r;
+    revive = Repush.revive r;
+    now = (fun () -> r.Repush.now);
+    run =
+      (fun () ->
+        Repush.run r;
+        true);
+    dropped = (fun () -> r.Repush.dropped);
+  }
+
+(* A random timer program, replayed identically on any driver: the
+   handler of event [id] draws, from an RNG keyed by [seed] and [id], its
+   own [busy] (0-10 ns), up to two follow-up timers with small delays
+   (same-instant ties) and an occasional kill, revive or restart.  Returns the
+   executed [(time, node, id)] list, the drop count and whether the
+   queue drained. *)
+let timer_program d ~nodes ~seed initial =
+  let log = ref [] and next_id = ref 0 in
+  let delays = [| 0; 1; 2; 5; 10 |] in
+  let rec schedule node delay =
+    let id = !next_id in
+    incr next_id;
+    d.at ~node ~delay (fun () -> handle node id)
+  and handle node id =
+    log := (d.now (), node, id) :: !log;
+    let r = Rng.create ~seed:(Int64.of_int ((seed * 1_000_003) + id)) () in
+    d.busy node (Rng.int r 11);
+    for _ = 1 to Rng.int r 3 do
+      let dst = Rng.int r nodes and delay = delays.(Rng.int r 5) in
+      if !next_id < 600 then schedule dst delay
+    done;
+    match Rng.int r 40 with
+    | 0 -> d.kill (Rng.int r nodes)
+    | 1 | 2 | 3 -> d.revive (Rng.int r nodes)
+    | 4 ->
+      let n = Rng.int r nodes in
+      d.kill n;
+      d.revive n
+    | _ -> ()
+  in
+  List.iter (fun (node, delay) -> schedule node delay) initial;
+  let drained = d.run () in
+  (List.rev !log, d.dropped (), drained)
+
+let test_deferral_matches_repush =
+  qtest ~count:200 "busy deferral runs events in re-push order"
+    QCheck2.Gen.(
+      triple (int_range 1 4) (int_range 0 1_000_000)
+        (list_size (int_range 1 40) (pair (int_range 0 3) (int_range 0 20))))
+    (fun (nodes, seed, initial) ->
+      let initial = List.map (fun (n, delay) -> (n mod nodes, delay)) initial in
+      let got = timer_program (net_driver nodes) ~nodes ~seed initial in
+      let want = timer_program (repush_driver nodes) ~nodes ~seed initial in
+      got = want)
+
+(* A restart empties node 0's inbox (B drops) and orphans its wake at
+   (100, seq of B).  F, deferred after the restart, lands at instant 100
+   too, behind X: it must not run off the orphaned wake ahead of X. *)
+let restart_program d =
+  let log = ref [] in
+  let ev name node delay f =
+    d.at ~node ~delay (fun () ->
+        log := (d.now (), name) :: !log;
+        f ())
+  in
+  ev "A" 0 0 (fun () -> d.busy 0 100);
+  ev "B" 0 1 ignore;
+  ev "K" 1 3 (fun () ->
+      d.kill 0;
+      d.revive 0;
+      ev "X" 1 97 ignore;
+      ev "E" 0 1 (fun () -> d.busy 0 96);
+      ev "F" 0 2 ignore);
+  let drained = d.run () in
+  (List.rev !log, d.dropped (), drained)
+
+let test_restart_orphans_wake () =
+  let ((log, dropped, _) as want) = restart_program (repush_driver 2) in
+  check
+    Alcotest.(list (pair int string))
+    "re-push reference"
+    [ (0, "A"); (3, "K"); (4, "E"); (100, "X"); (100, "F") ]
+    log;
+  check Alcotest.int "B dropped" 1 dropped;
+  check Alcotest.bool "same as re-push" true (restart_program (net_driver 2) = want)
+
+(* 2,000 timers queued at one instant behind a node that each of them
+   keeps busy: re-pushing pops every waiting timer once per timer served
+   (about 2 million pops); the inbox pops each about twice. *)
+let test_deferral_pops_linear () =
+  let n = 2_000 in
+  let net : unit Net.t = Net.create (Spec.make ~machine:"amd" 1) in
+  let order = ref [] in
+  for i = 0 to n - 1 do
+    Net.at net ~node:0 ~delay:0 (fun () ->
+        order := (Net.now net, i) :: !order;
+        Net.busy net 0 10)
+  done;
+  Net.run net;
+  check Alcotest.bool "FIFO, one every 10 ns" true
+    (List.rev !order = List.init n (fun i -> (10 * i, i)));
+  let pops = Net.pops net in
+  if pops > 3 * n then Alcotest.failf "%d heap pops for %d timers" pops n
+
 (* ---- composed boundary ---- *)
 
 (* Soundness: the composed boundary must cover the worst true pairwise
@@ -280,6 +479,9 @@ let suite =
     ("fifo links deliver in order", `Quick, test_fifo_in_order);
     ("reorder links overtake", `Quick, test_reorder_overtakes);
     ("network deterministic", `Quick, test_network_deterministic);
+    test_deferral_matches_repush;
+    ("restart orphans the inbox wake", `Quick, test_restart_orphans_wake);
+    ("busy deferral pops linear", `Quick, test_deferral_pops_linear);
     test_boundary_sound;
     ("fixture: rtt/2 under-covers", `Quick, test_fixture_rtt2_undercovers);
     ("kv deterministic", `Quick, test_kv_deterministic);

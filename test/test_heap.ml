@@ -123,6 +123,81 @@ let matches_model =
             | _ -> false))
         ops)
 
+(* An explicit seq orders against counter-assigned ones by value: a seq
+   reserved before two pushes pops between an earlier push and them. *)
+let test_explicit_seq () =
+  let h = Heap.create () in
+  Heap.push h ~time:5 "a";
+  let r = Heap.reserve_seq h in
+  Heap.push h ~time:5 "b";
+  Heap.push h ~time:5 "c";
+  Heap.push_seq h ~time:5 ~seq:r "r";
+  Alcotest.(check int) "min_seq is a's" 0 (Heap.min_seq h);
+  let rec drain acc =
+    match Heap.pop h with None -> List.rev acc | Some (_, v) -> drain (v :: acc)
+  in
+  Alcotest.(check (list string)) "reserved seq keeps later pushes after it"
+    [ "a"; "r"; "b"; "c" ] (drain []);
+  Alcotest.(check int) "min_seq when empty" max_int (Heap.min_seq h)
+
+(* Entries taken out and pushed back under their own keys, or under
+   reserved seqs, pop exactly where a stable (time, seq) sort puts them. *)
+let explicit_seq_matches_model =
+  qtest "push_seq / reserve_seq match the (time, seq) model"
+    QCheck2.Gen.(
+      list_size (int_range 1 300)
+        (oneof
+           [
+             map (fun t -> `Push t) (int_range 0 20);
+             map (fun t -> `Reserved t) (int_range 0 20);
+             return `Reinsert;
+             return `Pop;
+           ]))
+    (fun ops ->
+      let h = Heap.create () in
+      let model = ref [] (* (time, seq), sorted *) in
+      let add k = model := List.merge compare [ k ] !model in
+      let next = ref 0 in
+      let fresh () =
+        let s = !next in
+        incr next;
+        s
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | `Push t ->
+            let s = fresh () in
+            Heap.push h ~time:t s;
+            add (t, s);
+            true
+          | `Reserved t ->
+            let s = Heap.reserve_seq h in
+            let ok = s = fresh () in
+            (* a later push lands after the reserved seq is used *)
+            let s' = fresh () in
+            Heap.push h ~time:t s';
+            Heap.push_seq h ~time:t ~seq:s s;
+            add (t, s);
+            add (t, s');
+            ok
+          | `Reinsert -> (
+            match !model with
+            | [] -> Heap.is_empty h
+            | (t, s) :: _ ->
+              let seq = Heap.min_seq h in
+              let v = Heap.pop_exn h in
+              Heap.push_seq h ~time:t ~seq v;
+              seq = s && v = s && Heap.min_seq h = s)
+          | `Pop -> (
+            match (Heap.pop h, !model) with
+            | None, [] -> true
+            | Some (t, v), (mt, ms) :: rest ->
+              model := rest;
+              t = mt && v = ms
+            | _ -> false))
+        ops)
+
 let suite =
   [
     ("empty heap", `Quick, test_empty);
@@ -133,4 +208,6 @@ let suite =
     interleaved_push_pop;
     next_time_matches_min_time;
     matches_model;
+    ("explicit and reserved seqs", `Quick, test_explicit_seq);
+    explicit_seq_matches_model;
   ]

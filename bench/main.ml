@@ -90,7 +90,6 @@ let write_json path ~jobs ~full ~probes records total_wall total_events =
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
-  p "  \"pr\": 10,\n";
   p "  \"jobs\": %d,\n" jobs;
   p "  \"host_cpus\": %d,\n" (Domain.recommended_domain_count ());
   p "  \"full\": %b,\n" full;

@@ -1,9 +1,10 @@
 (* Adaptive event queue: a calendar/timing wheel for the dense near
-   horizon with a 4-ary SoA heap as both the sparse-mode fallback and the
-   far-tail overflow store.  Pop order is exactly ascending [(time, seq)]
-   with [seq] the global push counter — bit-identical to the plain heap,
+   horizon, with a {!Heap} as both the sparse-mode store and the far-tail
+   overflow store.  Pop order is exactly ascending [(time, seq)] with
+   [seq] the global push counter — bit-identical to a plain {!Heap},
    whichever representation holds an entry and however often the modes
-   switch mid-stream.
+   switch mid-stream.  The counter lives here, not in the heap, so wheel
+   and heap entries draw from one sequence.
 
    Why: the heap is the hottest structure in the simulator, and its cost
    grows with residency — a push/pop pair costs ~33 ns at 8 pending
@@ -33,9 +34,13 @@
      are empty).  The common pop therefore reads the bucket front
      directly; the bitmap is scanned only when a bucket drains.
 
-   Payload slots above the live region of a bucket or the heap may retain
-   stale references until overwritten: the same bounded retention the SoA
-   heap has always had (a polymorphic store has no filler value). *)
+   Payload slots above the live region of a bucket may retain stale
+   references until overwritten: the same bounded retention {!Heap} has
+   (a polymorphic store has no filler value).
+
+   The heap's root key and length are read as fields of its private
+   record, not through calls: they sit on the per-pop path and
+   cross-module calls never inline in the dev build. *)
 
 type 'a t = {
   mutable len : int;
@@ -43,13 +48,7 @@ type 'a t = {
   mutable cached_next : int;
   mutable wheel : bool;  (* wheel mode on: buckets + far-tail heap *)
   mutable cooldown : int;  (* ops until the next mode evaluation *)
-  (* 4-ary SoA heap: the whole store in sparse mode, the far tail in
-     wheel mode.  Keys are (time, seq); payloads live separately so sift
-     comparisons never dereference them. *)
-  mutable htimes : int array;
-  mutable hseqs : int array;
-  mutable hdata : 'a array;
-  mutable hlen : int;
+  h : 'a Heap.t;  (* the whole store in sparse mode, the far tail in wheel mode *)
   (* wheel *)
   mutable wshift : int;
   mutable vcur : int;
@@ -83,10 +82,7 @@ let create () =
     cached_next = max_int;
     wheel = false;
     cooldown = 0;
-    htimes = [||];
-    hseqs = [||];
-    hdata = [||];
-    hlen = 0;
+    h = Heap.create ();
     wshift = 0;
     vcur = 0;
     cached_slot = -1;
@@ -102,86 +98,6 @@ let create () =
 let is_empty t = t.len = 0
 let size t = t.len
 let next_time t = t.cached_next
-let min_time t = if t.len = 0 then None else Some t.cached_next
-
-(* ---- heap store (explicit seq) ---- *)
-
-let hgrow t payload =
-  let cap = Array.length t.htimes in
-  if t.hlen = cap then begin
-    let ncap = max 16 (2 * cap) in
-    let times = Array.make ncap 0 in
-    let seqs = Array.make ncap 0 in
-    let data = Array.make ncap payload in
-    Array.blit t.htimes 0 times 0 t.hlen;
-    Array.blit t.hseqs 0 seqs 0 t.hlen;
-    Array.blit t.hdata 0 data 0 t.hlen;
-    t.htimes <- times;
-    t.hseqs <- seqs;
-    t.hdata <- data
-  end
-
-let hpush t time seq payload =
-  hgrow t payload;
-  let times = t.htimes and seqs = t.hseqs and data = t.hdata in
-  let i = ref t.hlen in
-  t.hlen <- t.hlen + 1;
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let parent = (!i - 1) lsr 2 in
-    let pt = Array.unsafe_get times parent in
-    if time < pt || (time = pt && seq < Array.unsafe_get seqs parent) then begin
-      Array.unsafe_set times !i pt;
-      Array.unsafe_set seqs !i (Array.unsafe_get seqs parent);
-      Array.unsafe_set data !i (Array.unsafe_get data parent);
-      i := parent
-    end
-    else continue := false
-  done;
-  Array.unsafe_set times !i time;
-  Array.unsafe_set seqs !i seq;
-  Array.unsafe_set data !i payload
-
-(* Remove the heap minimum; the caller has already read the root. *)
-let hdrop t =
-  let times = t.htimes and seqs = t.hseqs and data = t.hdata in
-  let n = t.hlen - 1 in
-  t.hlen <- n;
-  if n > 0 then begin
-    let time = Array.unsafe_get times n and seq = Array.unsafe_get seqs n in
-    let payload = Array.unsafe_get data n in
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let base = (4 * !i) + 1 in
-      if base >= n then continue := false
-      else begin
-        let last = min (base + 3) (n - 1) in
-        let s = ref base in
-        let st = ref (Array.unsafe_get times base) in
-        let ss = ref (Array.unsafe_get seqs base) in
-        for c = base + 1 to last do
-          let ct = Array.unsafe_get times c in
-          if ct < !st || (ct = !st && Array.unsafe_get seqs c < !ss) then begin
-            s := c;
-            st := ct;
-            ss := Array.unsafe_get seqs c
-          end
-        done;
-        if !st < time || (!st = time && !ss < seq) then begin
-          Array.unsafe_set times !i !st;
-          Array.unsafe_set seqs !i !ss;
-          Array.unsafe_set data !i (Array.unsafe_get data !s);
-          i := !s
-        end
-        else continue := false
-      end
-    done;
-    Array.unsafe_set times !i time;
-    Array.unsafe_set seqs !i seq;
-    Array.unsafe_set data !i payload
-  end
-
 (* ---- wheel buckets ---- *)
 
 (* Index of the lowest set bit of a non-zero 32-bit word (de Bruijn). *)
@@ -268,11 +184,10 @@ let bucket_insert t slot time seq payload =
 (* Move due far-tail entries (vslot inside the current window) into
    buckets.  Each entry cascades at most once: [vcur] only advances. *)
 let cascade t =
-  let vhigh = t.vcur + wheel_slots in
-  while t.hlen > 0 && Array.unsafe_get t.htimes 0 lsr t.wshift < vhigh do
-    let time = Array.unsafe_get t.htimes 0 and seq = Array.unsafe_get t.hseqs 0 in
-    let payload = Array.unsafe_get t.hdata 0 in
-    hdrop t;
+  let h = t.h and vhigh = t.vcur + wheel_slots in
+  while h.len > 0 && Array.unsafe_get h.times 0 lsr t.wshift < vhigh do
+    let time = Array.unsafe_get h.times 0 and seq = Array.unsafe_get h.seqs 0 in
+    let payload = Heap.pop_exn h in
     bucket_insert t ((time lsr t.wshift) land slot_mask) time seq payload
   done
 
@@ -287,7 +202,7 @@ let to_heap t =
       let bt = t.bt.(slot) and bs = t.bs.(slot) and bd = t.bd.(slot) in
       let start = t.bstart.(slot) in
       for j = start to start + len - 1 do
-        hpush t bt.(j) bs.(j) bd.(j)
+        Heap.push_seq t.h ~time:bt.(j) ~seq:bs.(j) bd.(j)
       done;
       t.blen.(slot) <- 0;
       t.bstart.(slot) <- 0
@@ -306,10 +221,11 @@ let to_wheel t =
      every push pays a long in-bucket shift.  With the window spanning
      4x the lower half, a uniform population still fits entirely (window
      = 2x span) while a clustered one gets fine buckets. *)
-  let lo = t.htimes.(0) in
-  let times = Array.sub t.htimes 0 t.hlen in
+  let h = t.h in
+  let lo = h.times.(0) in
+  let times = Array.sub h.times 0 h.len in
   Array.sort (compare : int -> int -> int) times;
-  let target = (times.(t.hlen / 2) - lo) / (wheel_slots / 4) in
+  let target = (times.(h.len / 2) - lo) / (wheel_slots / 4) in
   let shift = ref 0 in
   while !shift < max_wshift && 1 lsl !shift < target do
     incr shift
@@ -336,11 +252,11 @@ let push t ~time payload =
          pre-run scheduling): fall back to the heap, which accepts any
          order.  The next evaluation may re-enter the wheel. *)
       to_heap t;
-      hpush t time seq payload;
+      Heap.push_seq t.h ~time ~seq payload;
       if time < t.cached_next then t.cached_next <- time
     end
     else if vslot >= t.vcur + wheel_slots then begin
-      hpush t time seq payload;
+      Heap.push_seq t.h ~time ~seq payload;
       (* A far entry below the cached minimum is only possible when the
          buckets are empty — the next pop must jump. *)
       if time < t.cached_next then begin
@@ -353,7 +269,7 @@ let push t ~time payload =
          fit to the current population.  The 3:1 margin keeps a
          legitimately split population — median-width sizing parks the
          upper half in the heap on purpose — from rebuilding in vain. *)
-      if t.hlen > 3 * t.wlen then
+      if t.h.len > 3 * t.wlen then
         if t.cooldown = 0 then begin
           to_heap t;
           to_wheel t
@@ -370,9 +286,9 @@ let push t ~time payload =
     end
   end
   else begin
-    hpush t time seq payload;
+    Heap.push_seq t.h ~time ~seq payload;
     if time < t.cached_next then t.cached_next <- time;
-    if t.hlen >= wheel_enter then
+    if t.h.len >= wheel_enter then
       if t.cooldown = 0 then to_wheel t else t.cooldown <- t.cooldown - 1
   end
 
@@ -380,9 +296,9 @@ let pop_exn t =
   if t.len = 0 then invalid_arg "Equeue.pop_exn: empty queue";
   t.len <- t.len - 1;
   if not t.wheel then begin
-    let payload = Array.unsafe_get t.hdata 0 in
-    hdrop t;
-    t.cached_next <- (if t.hlen = 0 then max_int else Array.unsafe_get t.htimes 0);
+    let h = t.h in
+    let payload = Heap.pop_exn h in
+    t.cached_next <- (if h.len = 0 then max_int else Array.unsafe_get h.times 0);
     payload
   end
   else begin
@@ -393,7 +309,7 @@ let pop_exn t =
     let s =
       if t.cached_slot >= 0 then t.cached_slot
       else begin
-        t.vcur <- Array.unsafe_get t.htimes 0 lsr t.wshift;
+        t.vcur <- Array.unsafe_get t.h.times 0 lsr t.wshift;
         cascade t;
         scan t (t.vcur land slot_mask)
       end
@@ -421,7 +337,7 @@ let pop_exn t =
     end
     else if t.wlen = 0 then begin
       t.cached_slot <- -1;
-      t.cached_next <- (if t.hlen = 0 then max_int else Array.unsafe_get t.htimes 0)
+      t.cached_next <- (if t.h.len = 0 then max_int else Array.unsafe_get t.h.times 0)
     end
     else begin
       (* Bucket [s] drained: the next occupied bucket (in circular order

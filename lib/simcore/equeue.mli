@@ -4,8 +4,8 @@
     order where [seq] is the global push counter, so same-time entries
     come out FIFO — but the store adapts to residency: a calendar/timing
     wheel (flat int buckets + occupancy bitmap) when enough events are
-    pending that heap sifts get expensive, the 4-ary SoA heap otherwise
-    and for the far tail beyond the wheel window.  Pop order is
+    pending that heap sifts get expensive, a {!Heap} otherwise and for
+    the far tail beyond the wheel window.  Pop order is
     bit-identical to the plain heap in every mode and across mode
     switches. *)
 
@@ -28,9 +28,6 @@ val next_time : 'a t -> int
 (** Time of the earliest pending entry without removing it, [max_int]
     when empty.  Allocation-free: a single field load — this is the
     engine's per-operation horizon check. *)
-
-val min_time : 'a t -> int option
-(** [next_time] as an option. *)
 
 val is_empty : 'a t -> bool
 val size : 'a t -> int

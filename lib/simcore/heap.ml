@@ -120,6 +120,5 @@ let pop t =
     Some (time, pop_exn t)
   end
 
-let min_time t = if t.len = 0 then None else Some t.times.(0)
 let next_time t = if t.len = 0 then max_int else Array.unsafe_get t.times 0
 let min_seq t = if t.len = 0 then max_int else Array.unsafe_get t.seqs 0

@@ -8,7 +8,16 @@
     the tree depth of a binary heap — both matter because the scheduler
     pushes and pops one entry per simulated event. *)
 
-type 'a t
+type 'a t = private {
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable data : 'a array;
+  mutable len : int;  (** entries [0 .. len-1] are live; index 0 is the minimum *)
+  mutable next_seq : int;
+}
+(** Read-only outside this module.  {!Equeue} reads the root key and the
+    length directly on every pop: cross-module calls never inline in the
+    dev build, so a field read is cheaper than {!next_time} there. *)
 
 val create : unit -> 'a t
 val is_empty : 'a t -> bool
@@ -36,12 +45,9 @@ val pop_exn : 'a t -> 'a
     the scheduler drain loop uses this to avoid an option + pair
     allocation per event. *)
 
-val min_time : 'a t -> int option
-
 val next_time : 'a t -> int
-(** Time key of the minimum entry, or [max_int] when empty — the
-    allocation-free variant of {!min_time} for the per-operation horizon
-    check. *)
+(** Time key of the minimum entry, or [max_int] when empty, without
+    allocating. *)
 
 val min_seq : 'a t -> int
 (** Sequence number of the minimum entry (the tie-breaker of

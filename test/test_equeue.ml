@@ -10,13 +10,30 @@ module Equeue = Ordo_sim.Equeue
 let qtest ?(count = 300) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
-(* Run one op sequence against both structures, checking sizes, next_time
-   and every popped (time, payload) pair agree, then drain both. *)
+(* Run one op sequence against the plain heap, the queue and a
+   (time, seq)-sorted list, checking sizes, next_time and every popped
+   (time, payload) pair agree, then drain all three.  Sparse mode stores
+   its entries in a [Heap], so the list is the reference that shares no
+   code with the queue. *)
 let equivalent ops =
   let h = Heap.create () and q = Equeue.create () in
+  let model = ref [] (* (time, seq), sorted; the payload is the seq *) in
   let seq = ref 0 and ok = ref true in
+  let model_next () = match !model with [] -> max_int | (t, _) :: _ -> t in
   let check_sync () =
-    if Heap.next_time h <> Equeue.next_time q || Heap.size h <> Equeue.size q then ok := false
+    let n = Equeue.next_time q and size = Equeue.size q in
+    if Heap.next_time h <> n || model_next () <> n then ok := false;
+    if Heap.size h <> size || List.length !model <> size then ok := false
+  in
+  (* [Some agree] after popping all three, [None] when all are empty;
+     one side empty before the others is a disagreement. *)
+  let pop3 () =
+    match (Heap.pop h, Equeue.pop q, !model) with
+    | None, None, [] -> None
+    | Some (t, v), Some (t', v'), (mt, ms) :: rest ->
+      model := rest;
+      Some (t = t' && v = v' && t = mt && v = ms)
+    | _ -> Some false
   in
   List.iter
     (fun op ->
@@ -24,20 +41,12 @@ let equivalent ops =
       | `Push t ->
         incr seq;
         Heap.push h ~time:t !seq;
-        Equeue.push q ~time:t !seq
-      | `Pop -> (
-        match (Heap.pop h, Equeue.pop q) with
-        | None, None -> ()
-        | Some (t, v), Some (t', v') -> if t <> t' || v <> v' then ok := false
-        | _ -> ok := false));
+        Equeue.push q ~time:t !seq;
+        model := List.merge compare [ (t, !seq) ] !model
+      | `Pop -> if pop3 () = Some false then ok := false);
       check_sync ())
     ops;
-  let rec drain () =
-    match (Heap.pop h, Equeue.pop q) with
-    | None, None -> true
-    | Some (t, v), Some (t', v') -> t = t' && v = v' && drain ()
-    | _ -> false
-  in
+  let rec drain () = match pop3 () with None -> true | Some agree -> agree && drain () in
   !ok && drain ()
 
 let arbitrary_equiv =
@@ -103,7 +112,6 @@ let test_empty () =
   Alcotest.(check bool) "is_empty" true (Equeue.is_empty q);
   Alcotest.(check int) "size" 0 (Equeue.size q);
   Alcotest.(check bool) "pop None" true (Equeue.pop q = None);
-  Alcotest.(check bool) "min_time None" true (Equeue.min_time q = None);
   Alcotest.(check int) "next_time empty" max_int (Equeue.next_time q);
   Alcotest.check_raises "empty raises" (Invalid_argument "Equeue.pop_exn: empty queue") (fun () ->
       ignore (Equeue.pop_exn q : int))

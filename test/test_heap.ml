@@ -10,13 +10,13 @@ let test_empty () =
   Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
   Alcotest.(check int) "size" 0 (Heap.size h);
   Alcotest.(check bool) "pop None" true (Heap.pop h = None);
-  Alcotest.(check bool) "min_time None" true (Heap.min_time h = None)
+  Alcotest.(check int) "next_time empty" max_int (Heap.next_time h)
 
 let test_single () =
   let h = Heap.create () in
   Heap.push h ~time:42 "x";
   Alcotest.(check int) "size" 1 (Heap.size h);
-  Alcotest.(check bool) "min_time" true (Heap.min_time h = Some 42);
+  Alcotest.(check int) "next_time" 42 (Heap.next_time h);
   Alcotest.(check bool) "pop" true (Heap.pop h = Some (42, "x"));
   Alcotest.(check bool) "empty after" true (Heap.is_empty h)
 
@@ -46,7 +46,7 @@ let fifo_on_ties =
       drain [] = List.init n Fun.id)
 
 let interleaved_push_pop =
-  qtest "min_time always matches the next pop"
+  qtest "next_time always matches the next pop"
     QCheck2.Gen.(list_size (int_range 1 100) (int_range 0 100))
     (fun times ->
       let h = Heap.create () in
@@ -54,9 +54,9 @@ let interleaved_push_pop =
       List.iter
         (fun t ->
           Heap.push h ~time:t ();
-          (match (Heap.min_time h, Heap.pop h) with
-          | Some m, Some (t', ()) -> if m <> t' then ok := false
-          | _ -> ok := false);
+          (match (Heap.next_time h, Heap.pop h) with
+          | m, Some (t', ()) -> if m <> t' then ok := false
+          | _, None -> ok := false);
           Heap.push h ~time:(t + 1) ())
         times;
       !ok)
@@ -69,26 +69,6 @@ let test_pop_exn () =
   Alcotest.(check string) "then next" "a" (Heap.pop_exn h);
   Alcotest.check_raises "empty raises" (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
       ignore (Heap.pop_exn h : string))
-
-let next_time_matches_min_time =
-  qtest "next_time = min_time (max_int when empty)"
-    QCheck2.Gen.(list_size (int_range 0 50) (int_range 0 1000))
-    (fun times ->
-      let h = Heap.create () in
-      let agree () =
-        Heap.next_time h = (match Heap.min_time h with None -> max_int | Some t -> t)
-      in
-      agree ()
-      && List.for_all
-           (fun t ->
-             Heap.push h ~time:t ();
-             agree ())
-           times
-      &&
-      let rec drain () =
-        agree () && match Heap.pop h with None -> Heap.next_time h = max_int | Some _ -> drain ()
-      in
-      drain ())
 
 (* Model-based stability: random interleaving of pushes and pops matches
    a reference priority queue (stable sort by (time, insertion seq)) —
@@ -206,7 +186,6 @@ let suite =
     pops_sorted;
     fifo_on_ties;
     interleaved_push_pop;
-    next_time_matches_min_time;
     matches_model;
     ("explicit and reserved seqs", `Quick, test_explicit_seq);
     explicit_seq_matches_model;

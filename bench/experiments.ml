@@ -1369,6 +1369,10 @@ let service ~full =
       (if full then [ "primary_kill"; "rolling" ] else [ "primary_kill" ])
   in
   List.iter
+    (fun ((r : Svc.result), _) ->
+      H.add_net_work ~pops:r.Svc.net_pops ~restamps:r.Svc.net_restamps)
+    (results @ rres @ List.map snd chaos);
+  List.iter
     (fun (name, ((r : Svc.result), rep)) ->
       Report.table
         ~title:(Printf.sprintf "chaos scenario %s at %d sessions" name sess)

@@ -34,6 +34,16 @@ let par_map f xs = Ordo_sim.Pool.map ~jobs:!jobs f xs
    only the determinism-insensitive invariant lines. *)
 let live = ref false
 
+(* Network work of the service runs an experiment made: event-queue pops
+   and inbox re-stamps, summed over its cells ([None] if it made none).
+   Both are deterministic, so the perf record carries them as exact
+   columns.  Add from the calling domain, after [par_map] returns. *)
+let net_work : (int * int) option ref = ref None
+
+let add_net_work ~pops ~restamps =
+  let p, r = Option.value !net_work ~default:(0, 0) in
+  net_work := Some (p + pops, r + restamps)
+
 (* Split [xs] into consecutive chunks of [n] — the inverse of flattening
    a list of per-series cell lists into one task list. *)
 let rec chunks n xs =

@@ -9,8 +9,9 @@
    executes under a fresh simulator instance whether it runs sequentially
    or on a pool domain, so the printed tables are byte-identical for any
    job count.  [--json FILE] writes a machine-readable perf record:
-   per-experiment wall time and simulated event counts, plus the engine's
-   single-thread throughput probes. *)
+   per-experiment wall time and simulated event counts (plus the cluster
+   network's pops and re-stamps where an experiment runs the service),
+   and the engine's single-thread throughput probes. *)
 
 let experiments : (string * string * (full:bool -> unit)) list =
   [
@@ -98,9 +99,13 @@ let write_json path ~jobs ~full ~probes records total_wall total_events =
     (if total_wall > 0.0 then float_of_int total_events /. total_wall else 0.0);
   p "  \"experiments\": [\n";
   List.iteri
-    (fun i (name, wall, events) ->
-      p "    { \"name\": \"%s\", \"wall_s\": %.3f, \"events\": %d }%s\n" (json_escape name)
+    (fun i (name, wall, events, net) ->
+      p "    { \"name\": \"%s\", \"wall_s\": %.3f, \"events\": %d%s }%s\n" (json_escape name)
         wall events
+        (match net with
+        | None -> ""
+        | Some (pops, restamps) ->
+          Printf.sprintf ", \"net_pops\": %d, \"net_restamps\": %d" pops restamps)
         (if i = List.length records - 1 then "" else ","))
     records;
   p "  ],\n";
@@ -190,8 +195,12 @@ let run_experiments names full jobs json check_against analyze live =
           let _, _, f = List.find (fun (n, _, _) -> n = name) experiments in
           let t0 = Unix.gettimeofday () in
           let e0 = Ordo_sim.Engine.events_processed () in
+          Harness.net_work := None;
           f ~full;
-          (name, Unix.gettimeofday () -. t0, Ordo_sim.Engine.events_processed () - e0))
+          ( name,
+            Unix.gettimeofday () -. t0,
+            Ordo_sim.Engine.events_processed () - e0,
+            !Harness.net_work ))
         selected
     in
     print_newline ();
@@ -201,7 +210,8 @@ let run_experiments names full jobs json check_against analyze live =
       (fun path -> write_json path ~jobs ~full ~probes records total_wall total_events)
       json;
     (* The perf delta gate (CI): deterministic columns only — exact event
-       counts per experiment, per-event allocation within tolerance. *)
+       counts and network work per experiment, per-event allocation
+       within tolerance. *)
     Option.iter
       (fun baseline ->
         let current = Option.get json in
@@ -239,9 +249,9 @@ let check_against_arg =
   let doc =
     "Compare the record written by $(b,--json) against the committed baseline $(docv) and \
      exit non-zero on regression.  Only deterministic columns are gated: per-experiment \
-     simulated event counts must match exactly and per-probe allocation (minor words per \
-     event) must stay within tolerance — wall clock is never compared, so the gate is \
-     reliable on a loaded single-CPU CI host."
+     simulated event counts and network pops and re-stamps must match exactly, and \
+     per-probe allocation (minor words per event) must stay within tolerance — wall clock \
+     is never compared, so the gate is reliable on a loaded single-CPU CI host."
   in
   Arg.(value & opt (some string) None & info [ "check-against" ] ~docv:"BASELINE" ~doc)
 

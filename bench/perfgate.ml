@@ -6,13 +6,18 @@
    - per-experiment simulated event counts must match the baseline
      exactly — the event stream is the simulator's observable behavior,
      so any drift is a correctness change, not a slowdown;
+   - so must the cluster network's pops and inbox re-stamps
+     ([net_pops], [net_restamps]) where an experiment records them: they
+     count the host work of the network model, which is as
+     deterministic as the events it runs;
    - per-probe allocation (minor words per event) must not exceed the
      baseline by more than a small tolerance — allocation per event is a
      property of the binary, reproducible on any host.
 
    Wall-clock columns are recorded for humans but never gated: the 1-CPU
    CI box shares its host and its timings are noise.  An experiment
-   present on only one side is skipped (selection differs), but an empty
+   present on only one side is skipped (selection differs), as is a
+   column the baseline lacks (it predates the column), but an empty
    intersection is itself a failure — a gate that compares nothing must
    not pass. *)
 
@@ -183,6 +188,21 @@ let experiment_events j =
          | Some name, Some events -> Some (name, int_of_float events)
          | _ -> None)
 
+(* (name, column) -> value for the exact per-experiment network columns;
+   an experiment without them contributes nothing. *)
+let net_columns = [ "net_pops"; "net_restamps" ]
+
+let experiment_net j =
+  to_arr (member "experiments" j)
+  |> List.concat_map (fun e ->
+         match to_str (member "name" e) with
+         | None -> []
+         | Some name ->
+           List.filter_map
+             (fun col ->
+               Option.map (fun v -> ((name, col), int_of_float v)) (to_num (member col e)))
+             net_columns)
+
 (* name -> minor words per event, from the live probes (absent in records
    written before the column existed — the gate then skips that check). *)
 let probe_allocs j =
@@ -219,6 +239,18 @@ let check ~baseline ~current =
     cur_ev;
   if !compared = 0 then
     fail "no experiment overlaps the baseline %s — nothing was actually gated" baseline;
+  let base_net = experiment_net base in
+  let net_compared = ref 0 in
+  List.iter
+    (fun (((name, col) as key), v) ->
+      match List.assoc_opt key base_net with
+      | None -> ()
+      | Some base_v ->
+        incr net_compared;
+        if v <> base_v then
+          fail "experiment %s: %s = %d, baseline has %d (network work changed)" name col v
+            base_v)
+    (experiment_net cur);
   let base_mw = probe_allocs base and cur_mw = probe_allocs cur in
   List.iter
     (fun (name, mw) ->
@@ -233,9 +265,9 @@ let check ~baseline ~current =
     cur_mw;
   match List.rev !failures with
   | [] ->
-    Printf.printf "perf gate: OK against %s (%d experiments event-identical, %d probes within \
-                   allocation tolerance)\n%!"
-      baseline !compared (List.length cur_mw);
+    Printf.printf "perf gate: OK against %s (%d experiments event-identical, %d network \
+                   columns identical, %d probes within allocation tolerance)\n%!"
+      baseline !compared !net_compared (List.length cur_mw);
     true
   | fs ->
     List.iter (fun f -> Printf.eprintf "perf gate: FAIL: %s\n" f) fs;

@@ -21,7 +21,9 @@
    heap by a single wake entry, and run in exactly the order the simplest
    model gives — pop each one for a busy node and push it back at
    [busy_until] with a fresh seq — without that model's pop per waiting
-   event per event served (see [step]). *)
+   event per event served (see [step]).  When the node serves an event
+   and every event still waiting must be re-stamped, that is one O(1)
+   run stamp, not one key per waiting event (see [settle]). *)
 
 module Machine = Ordo_sim.Machine
 module Engine = Ordo_sim.Engine
@@ -187,15 +189,29 @@ let wake_inc = -1
 (* FIFO ring of the events deferred behind one busy node, each with the
    [(time, seq)] key its re-push would have had.  Keys ascend from head to
    tail; the ring never holds an event of a past incarnation ([kill]
-   empties it).  [wake] doubles as the filler of vacated slots. *)
+   empties it).  The first [run_n] events are keyed [(run_t, run_b + i)],
+   i counted from the head, and their [times]/[seqs] slots are stale: a
+   whole busy period's re-stamps are written once, as a run ([settle]).
+   [wake] doubles as the filler of vacated slots. *)
 type inbox = {
   mutable evs : pend array;
   mutable times : int array;
   mutable seqs : int array;
   mutable head : int;
   mutable len : int;
+  mutable run_t : int;
+  mutable run_b : int;
+  mutable run_n : int;
   wake : pend;
 }
+
+(* Key of the [k]-th waiting event, counted from the head. *)
+let key_time ib k =
+  if k < ib.run_n then ib.run_t else ib.times.((ib.head + k) land (Array.length ib.evs - 1))
+
+let key_seq ib k =
+  if k < ib.run_n then ib.run_b + k
+  else ib.seqs.((ib.head + k) land (Array.length ib.evs - 1))
 
 let inbox_push ib ev ~time ~seq =
   let cap = Array.length ib.evs in
@@ -225,6 +241,10 @@ let inbox_take ib =
   ib.evs.(ib.head) <- ib.wake;
   ib.head <- (ib.head + 1) land (Array.length ib.evs - 1);
   ib.len <- ib.len - 1;
+  if ib.run_n > 0 then begin
+    ib.run_b <- ib.run_b + 1;
+    ib.run_n <- ib.run_n - 1
+  end;
   ev
 
 type node = {
@@ -249,6 +269,7 @@ type 'm t = {
   mutable delivered_ : int;
   mutable dropped_ : int;
   mutable pops_ : int;
+  mutable restamps_ : int;
 }
 
 let fold_offset (m : Machine.t) off =
@@ -283,6 +304,9 @@ let create (spec : Spec.t) =
               seqs = [||];
               head = 0;
               len = 0;
+              run_t = 0;
+              run_b = 0;
+              run_n = 0;
               wake = { node = i; inc = wake_inc; fn = ignore };
             };
         })
@@ -310,6 +334,7 @@ let create (spec : Spec.t) =
     delivered_ = 0;
     dropped_ = 0;
     pops_ = 0;
+    restamps_ = 0;
   }
 
 let spec t = t.spec
@@ -319,6 +344,7 @@ let sent t = t.sent_
 let delivered t = t.delivered_
 let dropped t = t.dropped_
 let pops t = t.pops_
+let restamps t = t.restamps_
 let offset_truth t n = t.offsets.(n)
 let node_machine t n = t.node_tbl.(n).machine
 let on_message t f = t.handler <- f
@@ -359,7 +385,7 @@ let kill t n =
        [step] skips it because it no longer names the inbox head. *)
     let ib = nd.inbox in
     while ib.len > 0 do
-      let time = ib.times.(ib.head) and seq = ib.seqs.(ib.head) in
+      let time = key_time ib 0 and seq = key_seq ib 0 in
       Heap.push_seq t.q ~time ~seq (inbox_take ib)
     done;
     if Trace.enabled () then
@@ -447,21 +473,48 @@ let busy t n ns =
    therefore sends the next deferred event to the tail, behind the stale
    head: that head re-stamps later, with a larger seq, as its re-push
    would.  Events addressed to a dead node — or to an incarnation that
-   has since been killed — are dropped and counted. *)
+   has since been killed — are dropped and counted.
+
+   Full cycles.  Neither [busy_until] nor the heap minimum moves while
+   [settle] re-stamps, and keys ascend, so if the tail passes the test
+   every event before it does: each waiting event is re-stamped once, in
+   order, to [(busy_until, s + i)] for consecutive fresh seqs [s + i], and
+   the ring's order does not change.  [settle] then writes no per-event
+   key: it stamps the whole inbox as one run [(busy_until, s, len)] in
+   O(1) and wakes at [(busy_until, s)].  A run is a prefix of the ring
+   ([inbox_take] advances it) and its seqs are a block no other key can
+   fall inside, so a later partial cycle re-stamps all of a run or none
+   of it; the per-event loop handles that case, reading run keys through
+   [key_time]/[key_seq]. *)
+let deferred t nd ~time ~seq =
+  let qt = Heap.next_time t.q in
+  nd.busy_until > time && (time < qt || (time = qt && seq < Heap.min_seq t.q))
+
 let settle t nd =
   let ib = nd.inbox in
-  let rec go () =
-    if ib.len > 0 then begin
-      let time = ib.times.(ib.head) and seq = ib.seqs.(ib.head) in
-      let qt = Heap.next_time t.q in
-      if nd.busy_until > time && (time < qt || (time = qt && seq < Heap.min_seq t.q)) then begin
-        inbox_push ib (inbox_take ib) ~time:nd.busy_until ~seq:(Heap.reserve_seq t.q);
-        go ()
-      end
-      else Heap.push_seq t.q ~time ~seq ib.wake
+  if ib.len > 0 then begin
+    let last = ib.len - 1 in
+    if deferred t nd ~time:(key_time ib last) ~seq:(key_seq ib last) then begin
+      ib.run_t <- nd.busy_until;
+      ib.run_b <- Heap.reserve_seqs t.q ib.len;
+      ib.run_n <- ib.len;
+      t.restamps_ <- t.restamps_ + 1;
+      Heap.push_seq t.q ~time:ib.run_t ~seq:ib.run_b ib.wake
     end
-  in
-  go ()
+    else begin
+      (* The tail fails the test, so this stops before the ring empties. *)
+      let rec go () =
+        let time = key_time ib 0 and seq = key_seq ib 0 in
+        if deferred t nd ~time ~seq then begin
+          inbox_push ib (inbox_take ib) ~time:nd.busy_until ~seq:(Heap.reserve_seq t.q);
+          t.restamps_ <- t.restamps_ + 1;
+          go ()
+        end
+        else Heap.push_seq t.q ~time ~seq ib.wake
+      in
+      go ()
+    end
+  end
 
 let step t =
   if Heap.is_empty t.q then false
@@ -472,7 +525,7 @@ let step t =
     let nd = t.node_tbl.(ev.node) in
     let ib = nd.inbox in
     if ev.inc = wake_inc then begin
-      if ib.len > 0 && ib.seqs.(ib.head) = seq then begin
+      if ib.len > 0 && key_seq ib 0 = seq then begin
         if nd.busy_until <= time then begin
           let head = inbox_take ib in
           if time > t.now_ then t.now_ <- time;

@@ -140,7 +140,9 @@ val busy : 'm t -> int -> int -> unit
     back at the instant it frees up, behind everything already queued
     there — including events at the same instant that pop between two
     waiting ones.  A waiting event therefore costs no queue operations
-    while the node serves the events ahead of it ({!pops}). *)
+    while the node serves the events ahead of it ({!pops}), and when
+    every waiting event must be re-keyed behind the next busy period,
+    the whole inbox is re-keyed at once ({!restamps}). *)
 
 val step : 'm t -> bool
 (** Process one event; [false] when the queue is empty. *)
@@ -152,6 +154,13 @@ val pops : 'm t -> int
 (** Event-queue pops so far: every event run or dropped, every inbox
     wake, and every event popped for a busy node once, when it enters
     the inbox. *)
+
+val restamps : 'm t -> int
+(** Inbox keys written so far: each waiting event moved to the tail under
+    a fresh key counts 1, and each busy period that re-keys the whole
+    inbox at once — one O(1) run stamp — counts 1.  A deep inbox
+    therefore no longer costs one key per waiting event per event
+    served. *)
 
 val sent : 'm t -> int
 

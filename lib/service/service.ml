@@ -126,6 +126,8 @@ type result = {
   snapshots : int;  (** re-joins completed (restart or deposed leader) *)
   messages : int;
   dropped : int;  (** events dropped at dead nodes *)
+  net_pops : int;  (** event-queue pops of the run's network ([Net.pops]) *)
+  net_restamps : int;  (** inbox keys its network wrote ([Net.restamps]) *)
   end_ns : int;
   boundary : int;
   throughput : float;  (** committed ops per µs *)
@@ -1444,6 +1446,8 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     snapshots = !snapshots;
     messages = Net.delivered net;
     dropped = Net.dropped net;
+    net_pops = Net.pops net;
+    net_restamps = Net.restamps net;
     end_ns = !end_ns;
     boundary;
     throughput =

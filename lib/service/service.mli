@@ -74,6 +74,8 @@ type result = {
   snapshots : int;  (** re-joins completed (restart or deposed leader) *)
   messages : int;
   dropped : int;  (** events dropped at dead nodes *)
+  net_pops : int;  (** event-queue pops of the run's network ([Net.pops]) *)
+  net_restamps : int;  (** inbox keys its network wrote ([Net.restamps]) *)
   end_ns : int;
   boundary : int;
   throughput : float;  (** committed ops per µs *)

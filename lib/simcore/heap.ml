@@ -68,6 +68,12 @@ let reserve_seq t =
   t.next_seq <- seq + 1;
   seq
 
+let reserve_seqs t n =
+  if n < 0 then invalid_arg "Heap.reserve_seqs: negative count";
+  let seq = t.next_seq in
+  t.next_seq <- seq + n;
+  seq
+
 let push t ~time payload = push_seq t ~time ~seq:(reserve_seq t) payload
 
 let pop_exn t =

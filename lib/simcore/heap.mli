@@ -30,6 +30,12 @@ val reserve_seq : 'a t -> int
 (** Take the next sequence number without inserting anything: every
     later {!push} orders after it on a time tie. *)
 
+val reserve_seqs : 'a t -> int -> int
+(** [reserve_seqs t n] takes [n] consecutive sequence numbers at once and
+    returns the first: the same as [n] calls of {!reserve_seq}, for a
+    caller that hands a block of keys out lazily.  Raises
+    [Invalid_argument] on a negative [n]. *)
+
 val push_seq : 'a t -> time:int -> seq:int -> 'a -> unit
 (** Insert under an explicit sequence number — one from {!reserve_seq},
     or the key of an entry that was taken out of the heap and is put

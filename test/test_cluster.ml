@@ -217,8 +217,7 @@ type driver = {
   dropped : unit -> int;
 }
 
-let net_driver n =
-  let net : unit Net.t = Net.create (Spec.make ~machine:"amd" n) in
+let drive_net (net : unit Net.t) =
   {
     at = (fun ~node ~delay fn -> Net.at net ~node ~delay fn);
     busy = Net.busy net;
@@ -235,6 +234,8 @@ let net_driver n =
         !steps < 100_000);
     dropped = (fun () -> Net.dropped net);
   }
+
+let net_driver n = drive_net (Net.create (Spec.make ~machine:"amd" n))
 
 let repush_driver n =
   let r = Repush.create n in
@@ -253,11 +254,11 @@ let repush_driver n =
 
 (* A random timer program, replayed identically on any driver: the
    handler of event [id] draws, from an RNG keyed by [seed] and [id], its
-   own [busy] (0-10 ns), up to two follow-up timers with small delays
-   (same-instant ties) and an occasional kill, revive or restart.  Returns the
-   executed [(time, node, id)] list, the drop count and whether the
-   queue drained. *)
-let timer_program d ~nodes ~seed initial =
+   own [busy] (0 to [busy_max] ns), up to two follow-up timers with small
+   delays (same-instant ties) and an occasional kill, revive or restart.
+   Returns the executed [(time, node, id)] list, the drop count and
+   whether the queue drained. *)
+let timer_program ?(busy_max = 10) d ~nodes ~seed initial =
   let log = ref [] and next_id = ref 0 in
   let delays = [| 0; 1; 2; 5; 10 |] in
   let rec schedule node delay =
@@ -267,7 +268,7 @@ let timer_program d ~nodes ~seed initial =
   and handle node id =
     log := (d.now (), node, id) :: !log;
     let r = Rng.create ~seed:(Int64.of_int ((seed * 1_000_003) + id)) () in
-    d.busy node (Rng.int r 11);
+    d.busy node (Rng.int r (busy_max + 1));
     for _ = 1 to Rng.int r 3 do
       let dst = Rng.int r nodes and delay = delays.(Rng.int r 5) in
       if !next_id < 600 then schedule dst delay
@@ -295,6 +296,66 @@ let test_deferral_matches_repush =
       let got = timer_program (net_driver nodes) ~nodes ~seed initial in
       let want = timer_program (repush_driver nodes) ~nodes ~seed initial in
       got = want)
+
+(* Deep inboxes: up to 200 timers start at one instant, and each handler
+   keeps its node busy for up to 40 ns, so most events wait behind
+   dozens of others and [Net] takes both its run stamps and its
+   per-event re-stamps. *)
+let test_deferral_deep_inboxes =
+  qtest ~count:100 "busy deferral with deep inboxes runs in re-push order"
+    QCheck2.Gen.(
+      triple (int_range 1 4) (int_range 0 1_000_000)
+        (list_size (int_range 1 200) (int_range 0 3)))
+    (fun (nodes, seed, initial) ->
+      let initial = List.map (fun n -> (n mod nodes, 0)) initial in
+      let got = timer_program ~busy_max:40 (net_driver nodes) ~nodes ~seed initial in
+      let want = timer_program ~busy_max:40 (repush_driver nodes) ~nodes ~seed initial in
+      got = want)
+
+(* A partial cycle while a run is live.  B1's serve stamps B2 and B3 as
+   one run at instant 20; Z, scheduled at 12 for instant 20, takes the
+   seq right after the run's block, and C, deferred at 15, the one after
+   Z.  When B2's serve keeps node 0 busy to 30, B3 (a run key) is below Z
+   but C is not: only B3 is re-stamped to 30, and C waits on a stale wake
+   until Z has run and put Y at 30.  C's later re-stamp orders it behind
+   Y; stamping B3 and C as one run would have put it ahead.  W, put at 20
+   by B1 just before the run is stamped, holds the seq right below the
+   block, so a run base one too low ties the wake with W, and one too
+   high ties B3 with Z. *)
+let live_run_program d =
+  let log = ref [] in
+  let rec ev name node delay f =
+    d.at ~node ~delay (fun () ->
+        log := (d.now (), name) :: !log;
+        f ())
+  and b1 () =
+    d.busy 0 10;
+    ev "W" 1 10 ignore
+  in
+  ev "A" 0 0 (fun () -> d.busy 0 10);
+  ev "B1" 0 0 b1;
+  ev "B2" 0 0 (fun () -> d.busy 0 10);
+  ev "B3" 0 0 ignore;
+  ev "P" 1 12 (fun () -> ev "Z" 1 8 (fun () -> ev "Y" 2 10 ignore));
+  ev "C" 0 15 ignore;
+  let drained = d.run () in
+  (List.rev !log, d.dropped (), drained)
+
+let test_partial_cycle_live_run () =
+  let ((log, _, _) as want) = live_run_program (repush_driver 3) in
+  check
+    Alcotest.(list (pair int string))
+    "re-push reference"
+    [
+      (0, "A"); (10, "B1"); (12, "P"); (20, "W"); (20, "B2"); (20, "Z"); (30, "B3");
+      (30, "Y"); (30, "C");
+    ]
+    log;
+  let net : unit Net.t = Net.create (Spec.make ~machine:"amd" 3) in
+  check Alcotest.bool "same as re-push" true (live_run_program (drive_net net) = want);
+  (* The run stamp at 10, B3's re-stamp at 20 and C's after the stale
+     wake. *)
+  check Alcotest.int "re-stamps" 3 (Net.restamps net)
 
 (* A restart empties node 0's inbox (B drops) and orphans its wake at
    (100, seq of B).  F, deferred after the restart, lands at instant 100
@@ -329,7 +390,8 @@ let test_restart_orphans_wake () =
 
 (* 2,000 timers queued at one instant behind a node that each of them
    keeps busy: re-pushing pops every waiting timer once per timer served
-   (about 2 million pops); the inbox pops each about twice. *)
+   (about 2 million pops); the inbox pops each about twice, and re-keys
+   the whole inbox with one run stamp per timer served. *)
 let test_deferral_pops_linear () =
   let n = 2_000 in
   let net : unit Net.t = Net.create (Spec.make ~machine:"amd" 1) in
@@ -339,11 +401,13 @@ let test_deferral_pops_linear () =
         order := (Net.now net, i) :: !order;
         Net.busy net 0 10)
   done;
-  Net.run net;
+  check Alcotest.bool "drained" true ((drive_net net).run ());
   check Alcotest.bool "FIFO, one every 10 ns" true
     (List.rev !order = List.init n (fun i -> (10 * i, i)));
   let pops = Net.pops net in
-  if pops > 3 * n then Alcotest.failf "%d heap pops for %d timers" pops n
+  if pops > 3 * n then Alcotest.failf "%d heap pops for %d timers" pops n;
+  let restamps = Net.restamps net in
+  if restamps > 3 * n then Alcotest.failf "%d inbox re-stamps for %d timers" restamps n
 
 (* ---- composed boundary ---- *)
 
@@ -480,6 +544,8 @@ let suite =
     ("reorder links overtake", `Quick, test_reorder_overtakes);
     ("network deterministic", `Quick, test_network_deterministic);
     test_deferral_matches_repush;
+    test_deferral_deep_inboxes;
+    ("partial cycle with a live run", `Quick, test_partial_cycle_live_run);
     ("restart orphans the inbox wake", `Quick, test_restart_orphans_wake);
     ("busy deferral pops linear", `Quick, test_deferral_pops_linear);
     test_boundary_sound;

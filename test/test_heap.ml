@@ -120,6 +120,28 @@ let test_explicit_seq () =
     [ "a"; "r"; "b"; "c" ] (drain []);
   Alcotest.(check int) "min_seq when empty" max_int (Heap.min_seq h)
 
+(* A block of seqs is the same as that many single reservations: the
+   seqs are consecutive, the counter resumes after the block, and a later
+   push on the same time pops after every entry keyed inside it. *)
+let test_reserve_seqs () =
+  let h = Heap.create () in
+  Heap.push h ~time:7 "a";
+  let b = Heap.reserve_seqs h 3 in
+  Alcotest.(check int) "block starts after a" 1 b;
+  Alcotest.(check int) "next single seq follows the block" (b + 3) (Heap.reserve_seq h);
+  Alcotest.(check int) "empty block takes nothing" (b + 4) (Heap.reserve_seqs h 0);
+  Heap.push h ~time:7 "z";
+  for i = 2 downto 0 do
+    Heap.push_seq h ~time:7 ~seq:(b + i) (string_of_int i)
+  done;
+  let rec drain acc =
+    match Heap.pop h with None -> List.rev acc | Some (_, v) -> drain (v :: acc)
+  in
+  Alcotest.(check (list string)) "block pops in seq order, before a later push"
+    [ "a"; "0"; "1"; "2"; "z" ] (drain []);
+  Alcotest.check_raises "negative count" (Invalid_argument "Heap.reserve_seqs: negative count")
+    (fun () -> ignore (Heap.reserve_seqs h (-1)))
+
 (* Entries taken out and pushed back under their own keys, or under
    reserved seqs, pop exactly where a stable (time, seq) sort puts them. *)
 let explicit_seq_matches_model =
@@ -188,5 +210,6 @@ let suite =
     interleaved_push_pop;
     matches_model;
     ("explicit and reserved seqs", `Quick, test_explicit_seq);
+    ("reserve_seqs takes a consecutive block", `Quick, test_reserve_seqs);
     explicit_seq_matches_model;
   ]

@@ -62,7 +62,8 @@ let hazard_name code =
 (* Probe tags reserved for the runtime boundary guard ([Ordo_core.Guard]).
    Probes carrying one of these tags are reclassified as [Guard] events at
    emission, so guard actions are first-class in collected traces without
-   the guard having to know about the sink. *)
+   the guard having to know about the sink.  [start] interns them first,
+   so their ids are [0 .. n_guard_tags - 1]. *)
 let tag_guard_ts = "guard.ts"  (* b = issued timestamp, c = boundary then in effect *)
 let tag_guard_violation = "guard.violation"  (* b = observed excess, c = boundary *)
 let tag_guard_bound = "guard.bound"  (* b = new boundary, c = observed excess *)
@@ -71,6 +72,8 @@ let tag_guard_remeasure = "guard.remeasure"  (* b = recalibrated boundary, c = e
 
 let guard_tag_names =
   [| tag_guard_ts; tag_guard_violation; tag_guard_bound; tag_guard_fallback; tag_guard_remeasure |]
+
+let n_guard_tags = Array.length guard_tag_names
 
 (* Probe tags emitted by the work-stealing scheduler ([Ordo_sched]).
    Plain probes — no reclassification — so the stock offline checker and
@@ -140,7 +143,6 @@ type sink = {
   line_names : (int, string) Hashtbl.t;
   seq : int Atomic.t;
   lock : Mutex.t;  (* guards growth and interning (real-substrate emits) *)
-  mutable guard_ids : int array;  (* tag ids of guard_tag_names, pre-interned *)
 }
 
 (* The installed sink is *domain-local*: each domain traces (or not)
@@ -164,32 +166,26 @@ let adopt h = (Domain.DLS.get state_key).sink <- h
 let start ?(capacity = 16_384) ?(threads = 64) () =
   if capacity < 1 then invalid_arg "Trace.start: capacity must be >= 1";
   if is_tracing () then invalid_arg "Trace.start: already tracing";
-  let s =
-    {
-      capacity;
-      bufs = Array.make (max 1 threads) None;
-      core_stats = Array.make (max 1 threads) None;
-      line_stats = Hashtbl.create 64;
-      tag_ids = Hashtbl.create 32;
-      tag_names = Array.make 32 "";
-      n_tags = 0;
-      line_names = Hashtbl.create 8;
-      seq = Atomic.make 0;
-      lock = Mutex.create ();
-      guard_ids = [||];
-    }
-  in
-  (Domain.DLS.get state_key).sink <- Some s;
-  (* Reserve the guard tags up front so [emit] can reclassify guard probes
-     with a cheap array scan instead of a string comparison. *)
-  let intern_now tag =
-    let id = s.n_tags in
-    s.tag_names.(id) <- tag;
-    s.n_tags <- id + 1;
-    Hashtbl.add s.tag_ids tag id;
-    id
-  in
-  s.guard_ids <- Array.map intern_now guard_tag_names
+  let tag_ids = Hashtbl.create 32 and tag_names = Array.make 32 "" in
+  Array.iteri
+    (fun id tag ->
+      tag_names.(id) <- tag;
+      Hashtbl.add tag_ids tag id)
+    guard_tag_names;
+  (Domain.DLS.get state_key).sink <-
+    Some
+      {
+        capacity;
+        bufs = Array.make (max 1 threads) None;
+        core_stats = Array.make (max 1 threads) None;
+        line_stats = Hashtbl.create 64;
+        tag_ids;
+        tag_names;
+        n_tags = n_guard_tags;
+        line_names = Hashtbl.create 8;
+        seq = Atomic.make 0;
+        lock = Mutex.create ();
+      }
 
 let grow array tid =
   let n = Array.length array in
@@ -280,11 +276,7 @@ let emit ~tid ~time kind ~a ~b ~c =
     end;
     let cs = core_of s tid in
     (* A probe carrying a reserved guard tag is really a guard action. *)
-    let kind =
-      match kind with
-      | Probe when Array.exists (fun id -> id = a) s.guard_ids -> Guard
-      | k -> k
-    in
+    let kind = match kind with Probe when a >= 0 && a < n_guard_tags -> Guard | k -> k in
     (match kind with
     | Transfer ->
       cs.transfers.(b) <- cs.transfers.(b) + 1;
@@ -317,36 +309,111 @@ let emit ~tid ~time kind ~a ~b ~c =
     buf.data.(i + 5) <- c;
     buf.emitted <- buf.emitted + 1
 
+(* ---- collection ---- *)
+
+(* Consecutive emissions [next, stop) of one tid, ascending by
+   (time, seq); emission [k] sits at ring slot [k mod capacity]. *)
+type run = { rtid : int; data : int array; mutable next : int; stop : int }
+
+(* [seq] ascends along a ring, so a tid's retained window is one run
+   unless its times step back.  They do when a producer stamps an event
+   with another instant than its emitter's clock — the simulator emits
+   [Hazard] events at the hazard's instant under the target's tid — and
+   the window then splits into one more run per step back. *)
+let runs_of capacity tid (b : buf) acc =
+  let data = b.data in
+  let ascends i j =
+    data.(i + 1) < data.(j + 1) || (data.(i + 1) = data.(j + 1) && data.(i) < data.(j))
+  in
+  let acc = ref acc and start = ref (b.emitted - min b.emitted capacity) in
+  for k = !start + 1 to b.emitted - 1 do
+    if not (ascends ((k - 1) mod capacity * stride) (k mod capacity * stride)) then begin
+      acc := { rtid = tid; data; next = !start; stop = k } :: !acc;
+      start := k
+    end
+  done;
+  { rtid = tid; data; next = !start; stop = b.emitted } :: !acc
+
+(* K-way merge of the runs through a binary index heap keyed by each
+   run's next (time, seq): O(log R) int compares per event for R runs,
+   straight into the output array. *)
+let merge capacity runs =
+  let total = Array.fold_left (fun acc r -> acc + r.stop - r.next) 0 runs in
+  let blank = { seq = 0; time = 0; tid = 0; kind = Transfer; a = 0; b = 0; c = 0 } in
+  let events = Array.make total blank in
+  let hn = ref (Array.length runs) in
+  let hr = Array.init !hn Fun.id in
+  let htime = Array.make !hn 0 and hseq = Array.make !hn 0 in
+  let load h =
+    let r = runs.(hr.(h)) in
+    let i = r.next mod capacity * stride in
+    htime.(h) <- r.data.(i + 1);
+    hseq.(h) <- r.data.(i)
+  in
+  let lt x y = htime.(x) < htime.(y) || (htime.(x) = htime.(y) && hseq.(x) < hseq.(y)) in
+  let swap x y =
+    let r = hr.(x) and t = htime.(x) and q = hseq.(x) in
+    hr.(x) <- hr.(y);
+    htime.(x) <- htime.(y);
+    hseq.(x) <- hseq.(y);
+    hr.(y) <- r;
+    htime.(y) <- t;
+    hseq.(y) <- q
+  in
+  let rec sift_down h =
+    let l = (2 * h) + 1 in
+    if l < !hn then begin
+      let m = if l + 1 < !hn && lt (l + 1) l then l + 1 else l in
+      if lt m h then begin
+        swap m h;
+        sift_down m
+      end
+    end
+  in
+  for h = 0 to !hn - 1 do
+    load h
+  done;
+  for h = (!hn / 2) - 1 downto 0 do
+    sift_down h
+  done;
+  for n = 0 to total - 1 do
+    let r = runs.(hr.(0)) in
+    let i = r.next mod capacity * stride in
+    events.(n) <-
+      {
+        seq = r.data.(i);
+        time = r.data.(i + 1);
+        tid = r.rtid;
+        kind = kind_of_code.(r.data.(i + 2));
+        a = r.data.(i + 3);
+        b = r.data.(i + 4);
+        c = r.data.(i + 5);
+      };
+    r.next <- r.next + 1;
+    if r.next < r.stop then load 0
+    else begin
+      decr hn;
+      swap 0 !hn
+    end;
+    sift_down 0
+  done;
+  events
+
 let stop () =
   match current () with
   | None -> invalid_arg "Trace.stop: not tracing"
   | Some s ->
     (Domain.DLS.get state_key).sink <- None;
-    let events = ref [] and dropped = ref 0 in
+    let runs = ref [] and dropped = ref 0 in
     Array.iteri
       (fun tid buf ->
         match buf with
-        | None -> ()
-        | Some b ->
-          let retained = min b.emitted s.capacity in
-          dropped := !dropped + (b.emitted - retained);
-          for k = b.emitted - retained to b.emitted - 1 do
-            let i = k mod s.capacity * stride in
-            events :=
-              {
-                seq = b.data.(i);
-                time = b.data.(i + 1);
-                tid;
-                kind = kind_of_code.(b.data.(i + 2));
-                a = b.data.(i + 3);
-                b = b.data.(i + 4);
-                c = b.data.(i + 5);
-              }
-              :: !events
-          done)
+        | Some b when b.emitted > 0 ->
+          dropped := !dropped + max 0 (b.emitted - s.capacity);
+          runs := runs_of s.capacity tid b !runs
+        | _ -> ())
       s.bufs;
-    let events = Array.of_list !events in
-    Array.sort (fun x y -> if x.time <> y.time then compare x.time y.time else compare x.seq y.seq) events;
+    let events = merge s.capacity (Array.of_list !runs) in
     let cores =
       Array.to_list s.core_stats |> List.filter_map Fun.id
       |> List.sort (fun a b -> compare a.core b.core)

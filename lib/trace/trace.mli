@@ -136,7 +136,16 @@ val start : ?capacity:int -> ?threads:int -> unit -> unit
     on demand).  Raises [Invalid_argument] if already tracing. *)
 
 val stop : unit -> t
-(** Uninstall the sink and return the collected trace.
+(** Uninstall the sink and return the collected trace: each tid's
+    retained events (its last [capacity] emissions), in ascending
+    [(time, seq)] order.  [seq] is unique, so the order is total.
+
+    Each ring is read in place.  A ring whose times never step back is
+    already in that order, and the rings are k-way merged through an int
+    index heap: O(N log T) compares for N events from T rings.  A ring
+    whose times do step back (an event stamped with another instant than
+    its emitter's clock, like the simulator's [Hazard] events) enters
+    the merge as one ascending run per step back, so T counts those runs.
     Raises [Invalid_argument] if not tracing. *)
 
 val emit : tid:int -> time:int -> kind -> a:int -> b:int -> c:int -> unit

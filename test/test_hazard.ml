@@ -34,9 +34,10 @@ let scenario_of name ~seed ~dur ~threads (m : Machine.t) =
   | Some mk -> mk ~seed ~dur ~threads m.Machine.topo
   | None -> Alcotest.failf "unknown scenario %s" name
 
-(* Run the contended OCC workload, guarded (with [policy]) or raw. *)
-let run_occ ?policy ?(machine = Machine.amd) ?(threads = 8) ?(dur = 60_000) ?(seed = 1)
-    name =
+(* Run a workload (the contended OCC one by default), guarded (with
+   [policy]) or raw. *)
+let run_occ ?policy ?(workload = "occ") ?(machine = Machine.amd) ?(threads = 8)
+    ?(dur = 60_000) ?(seed = 1) name =
   let boundary = boundary_of machine in
   let scenario = scenario_of name ~seed ~dur ~threads machine in
   let guard, ts =
@@ -59,7 +60,7 @@ let run_occ ?policy ?(machine = Machine.amd) ?(threads = 8) ?(dur = 60_000) ?(se
         (module Ordo_core.Timestamp.Ordo_source (G) : Ordo_core.Timestamp.S) )
   in
   Trace.start ~capacity:65_536 ~threads:(Topology.total_threads machine.Machine.topo) ();
-  let stats = Workloads.run "occ" ~scenario machine ts ~threads ~dur in
+  let stats = Workloads.run workload ~scenario machine ts ~threads ~dur in
   let t = Trace.stop () in
   (boundary, t, stats, guard)
 
@@ -255,6 +256,43 @@ let test_guard_config_validation () =
       in
       ())
 
+(* Hazard events carry the hazard's instant, not the target core's
+   clock, so some rings step back in time and [Trace.stop] has to merge
+   them as several runs.  The merged trace must still hold every
+   emission exactly once, in (time, seq) order. *)
+let test_trace_order_under_hazards () =
+  let _, t, _, _ = run_occ ~workload:"tl2" ~policy:Guard.Inflate "storm" in
+  let events = t.Trace.events in
+  let n = Array.length events in
+  check Alcotest.int "nothing dropped" 0 t.Trace.dropped;
+  let by_seq = Array.copy events in
+  Array.sort (fun (x : Trace.event) (y : Trace.event) -> compare x.seq y.seq) by_seq;
+  check Alcotest.bool "seqs are exactly 0 .. n-1" true
+    (Array.for_all Fun.id (Array.mapi (fun i (e : Trace.event) -> e.seq = i) by_seq));
+  let last = Hashtbl.create 16 and stepped_back = ref false in
+  Array.iter
+    (fun (e : Trace.event) ->
+      (match Hashtbl.find_opt last e.tid with
+      | Some prev when e.time < prev -> stepped_back := true
+      | _ -> ());
+      Hashtbl.replace last e.tid e.time)
+    by_seq;
+  check Alcotest.bool "some ring's emission order steps back in time" true !stepped_back;
+  let ascending = ref true in
+  for i = 1 to n - 1 do
+    let p = events.(i - 1) and e = events.(i) in
+    if (p.time, p.seq) >= (e.time, e.seq) then ascending := false
+  done;
+  check Alcotest.bool "events ascend by (time, seq)" true !ascending;
+  let online =
+    Array.fold_left
+      (fun acc (c : Trace.core_stat) ->
+        acc + Array.fold_left ( + ) 0 c.transfers + c.invalidations + c.stalls + c.clock_reads
+        + c.pauses + c.probes + c.hazards + c.guards)
+      0 t.Trace.cores
+  in
+  check Alcotest.int "events = online per-core counts" online n
+
 let suite =
   [
     ("compile: step and rate", `Quick, test_compile_step_and_rate);
@@ -270,4 +308,5 @@ let suite =
     ("remeasure policy consults hook", `Quick, test_remeasure_policy_consults_hook);
     ("guarded new_time certain", `Quick, test_guard_new_time_certain);
     ("guard config validation", `Quick, test_guard_config_validation);
+    ("trace order under hazards", `Quick, test_trace_order_under_hazards);
   ]

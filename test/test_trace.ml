@@ -189,6 +189,104 @@ let test_chrome_export () =
   check Alcotest.int "begin/end balanced" begins ends;
   check Alcotest.bool "probes present" true (count_sub {|"ph":"i"|} > 0)
 
+(* ---- collection: Trace.stop against a sort of the emission log ---- *)
+
+let prop ?(count = 300) ?print name gen p =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen p)
+
+let kinds =
+  Trace.
+    [| Transfer; Invalidate; Rmw_stall; Clock_read; Pause; Span_begin; Span_end; Probe; Hazard |]
+
+(* One emission: which of the program's tids emits, how far that tid's
+   clock moves (sometimes backwards), and the event's kind and payload. *)
+type step = { who : int; dt : int; kind : int; pa : int; pb : int; pc : int }
+
+let step_gen =
+  QCheck2.Gen.(
+    map
+      (fun (who, dt, kind, (pa, pb, pc)) -> { who; dt; kind; pa; pb; pc })
+      (quad (int_range 0 5) (int_range (-3) 4)
+         (int_range 0 (Array.length kinds - 1))
+         (triple (int_range 0 9) (int_range 0 (Trace.n_classes - 1)) (int_range 0 99))))
+
+(* A random emission program: ring capacity 1–64 (rings wrap), tables
+   pre-sized for 1–8 threads and up to six tids drawn from 0..200 (so
+   they grow), clocks starting in 0..8 (times tie across tids). *)
+let program_gen =
+  QCheck2.Gen.(
+    quad (int_range 1 64) (int_range 1 8)
+      (list_size (int_range 1 6) (pair (int_range 0 200) (int_range 0 8)))
+      (list_size (int_range 0 400) step_gen))
+
+let print_program (capacity, threads, tids, steps) =
+  Printf.sprintf "capacity %d, threads %d, tids [%s], %d steps: %s" capacity threads
+    (String.concat "; " (List.map (fun (tid, t0) -> Printf.sprintf "%d@%d" tid t0) tids))
+    (List.length steps)
+    (String.concat " "
+       (List.map
+          (fun s -> Printf.sprintf "%d%+d:%d(%d,%d,%d)" s.who s.dt s.kind s.pa s.pb s.pc)
+          steps))
+
+(* The reference shares no code with the sink: every emission is logged
+   with the seq it must get (its index in the program), each tid keeps
+   its last [capacity] emissions, and the survivors are sorted by
+   (time, seq).  A probe whose tag id is a reserved guard tag's (ids
+   0–4) comes out as a guard. *)
+let stop_matches_reference (capacity, threads, tids, steps) =
+  let tids = Array.of_list tids in
+  let clock = Array.map snd tids in
+  Trace.start ~capacity ~threads ();
+  let log =
+    List.mapi
+      (fun seq s ->
+        let who = s.who mod Array.length tids in
+        clock.(who) <- clock.(who) + s.dt;
+        let tid = fst tids.(who) and time = clock.(who) and kind = kinds.(s.kind) in
+        Trace.emit ~tid ~time kind ~a:s.pa ~b:s.pb ~c:s.pc;
+        let kind = if kind = Trace.Probe && s.pa < 5 then Trace.Guard else kind in
+        { Trace.seq; time; tid; kind; a = s.pa; b = s.pb; c = s.pc })
+      steps
+  in
+  let t = Trace.stop () in
+  let by_tid = Hashtbl.create 8 in
+  List.iter
+    (fun (e : Trace.event) ->
+      let older = Option.value ~default:[] (Hashtbl.find_opt by_tid e.tid) in
+      Hashtbl.replace by_tid e.tid (e :: older))
+    log;
+  let kept, dropped =
+    Hashtbl.fold
+      (fun _ newest_first (kept, dropped) ->
+        let n = List.length newest_first in
+        ( List.filteri (fun i _ -> i < capacity) newest_first @ kept,
+          dropped + max 0 (n - capacity) ))
+      by_tid ([], 0)
+  in
+  let expected =
+    List.sort
+      (fun (x : Trace.event) (y : Trace.event) -> compare (x.time, x.seq) (y.time, y.seq))
+      kept
+  in
+  Array.to_list t.Trace.events = expected && t.Trace.dropped = dropped
+
+let test_stop_differential =
+  prop "stop = per-tid suffixes sorted by (time, seq)" ~count:500 ~print:print_program
+    program_gen stop_matches_reference
+
+(* The guard's probe tags are interned first, so a probe reclassifies by
+   its tag id alone. *)
+let test_guard_probe_reclassified () =
+  Trace.start ();
+  Trace.emit ~tid:0 ~time:1 Trace.Probe ~a:(Trace.intern Trace.tag_guard_ts) ~b:7 ~c:8;
+  Trace.emit ~tid:0 ~time:2 Trace.Probe ~a:(Trace.intern "x") ~b:7 ~c:8;
+  let t = Trace.stop () in
+  let got = Array.map (fun (e : Trace.event) -> (Trace.tag_name t e.a, e.kind)) t.Trace.events in
+  check Alcotest.bool "guard tag -> Guard, other tag stays Probe" true
+    (got = [| (Trace.tag_guard_ts, Trace.Guard); ("x", Trace.Probe) |]);
+  check Alcotest.(pair int int) "guards, probes" (1, 1)
+    (t.Trace.cores.(0).guards, t.Trace.cores.(0).probes)
+
 (* ---- checker: positive and negative ---- *)
 
 let measure_boundary m =
@@ -307,6 +405,8 @@ let suite =
     ("ring wrap drop accounting", `Quick, test_ring_wrap_drop_accounting);
     ("hottest lines sorted", `Quick, test_hottest_lines);
     ("chrome export balanced", `Quick, test_chrome_export);
+    test_stop_differential;
+    ("guard probe reclassified by tag id", `Quick, test_guard_probe_reclassified);
     ("checker passes clean OCC", `Quick, test_checker_occ_clean);
     ("checker detects injected skew", `Quick, test_checker_detects_skew);
     ("checker flags short new_time", `Quick, test_checker_new_time_short);

@@ -946,7 +946,7 @@ let cluster ~full =
         let boundary =
           match src with Kv.Ordo -> c.Compose.boundary | Kv.Logical -> 0
         in
-        let cfg = { Kv.default with Kv.shards; dur_ns = dur; source = src } in
+        let cfg = { Kv.default with Kv.dur_ns = dur; source = src } in
         Trace.start ~capacity:65536 ();
         let r = Kv.run ~boundary spec cfg in
         let t = Trace.stop () in
@@ -1029,7 +1029,7 @@ let cluster ~full =
      same topology must stay clean. *)
   let spec = Net.Spec.asymmetric_fixture () in
   let c = Compose.measure spec in
-  let cfg = { Kv.default with Kv.shards = 2; dur_ns = 100_000; source = Kv.Ordo } in
+  let cfg = { Kv.default with Kv.dur_ns = 100_000; source = Kv.Ordo } in
   let verdict boundary =
     Trace.start ~capacity:65536 ();
     let _ = Kv.run ~boundary spec cfg in

@@ -61,13 +61,12 @@ let report_kv_result name (r : Kv.result) (rep : Checker.report option) =
        else Printf.sprintf "%d violation(s)" (List.length rep.Checker.violations)));
   r
 
-let run_fixture check =
+let run_fixture () =
   let spec = Net.Spec.asymmetric_fixture () in
   let c = Compose.measure spec in
   report_measurement spec c;
   Report.kv "true node-1 skew (ns)" "5000";
-  let cfg = { Kv.default with Kv.shards = 2; Kv.dur_ns = 100_000; Kv.source = Kv.Ordo } in
-  ignore check;
+  let cfg = { Kv.default with Kv.dur_ns = 100_000; Kv.source = Kv.Ordo } in
   Trace.start ~capacity:65536 ();
   let r = Kv.run ~boundary:c.Compose.rtt2_boundary spec cfg in
   let t = Trace.stop () in
@@ -96,10 +95,20 @@ let run_fixture check =
     end
   end
 
+let sources_of = function
+  | "ordo" -> Some [ Kv.Ordo ]
+  | "logical" -> Some [ Kv.Logical ]
+  | "both" -> Some [ Kv.Logical; Kv.Ordo ]
+  | _ -> None
+
 let run_service spec_str source dur arrival batch theta cross read_pct no_check fixture =
   Ordo_sim.Sim.with_fresh_instance @@ fun () ->
-  if fixture then run_fixture (not no_check)
-  else
+  match sources_of source with
+  | None ->
+    Printf.eprintf "unknown source %S (known: ordo, logical, both)\n" source;
+    2
+  | Some _ when fixture -> run_fixture ()
+  | Some sources -> (
     match Net.Spec.of_string spec_str with
     | Error e ->
       prerr_endline e;
@@ -110,20 +119,13 @@ let run_service spec_str source dur arrival batch theta cross read_pct no_check 
       let cfg =
         {
           Kv.default with
-          Kv.shards = spec.Net.Spec.nodes;
-          dur_ns = dur;
+          Kv.dur_ns = dur;
           arrival_ns = arrival;
           batch;
           theta;
           cross_pct = cross;
           read_pct;
         }
-      in
-      let sources =
-        match source with
-        | "ordo" -> [ Kv.Ordo ]
-        | "logical" -> [ Kv.Logical ]
-        | _ -> [ Kv.Logical; Kv.Ordo ]
       in
       let bad = ref false in
       List.iter
@@ -137,7 +139,7 @@ let run_service spec_str source dur arrival batch theta cross read_pct no_check 
           | Some rep when not (Checker.ok rep) -> bad := true
           | _ -> ())
         sources;
-      if !bad then 1 else 0
+      if !bad then 1 else 0)
 
 let spec_arg =
   let doc = "Cluster spec: <nodes>x<machine>[:base=..,jitter=..,overhead=..,mode=fifo|reorder,skew=..,seed=..]." in

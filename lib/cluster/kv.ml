@@ -56,6 +56,19 @@ module Key = struct
   }
 
   let make ~value = { value; ver = 0; wts = 0; rts = 0; locked = false }
+
+  (* Tardis write stamp: at or above the writer's clock and [floor],
+     strictly above the installed version and every granted read lease. *)
+  let write_stamp ~clock ~floor k =
+    Int.max clock (Int.max floor (Int.max (k.wts + 1) (k.rts + 1)))
+
+  (* Install version [ver] at [ts]: the read lease never ends below the
+     version's own stamp. *)
+  let install k ~ver ~ts ~delta =
+    k.ver <- ver;
+    k.wts <- ts;
+    k.rts <- Int.max k.rts ts;
+    k.value <- k.value + delta
 end
 
 module Obs = struct
@@ -78,39 +91,33 @@ module Obs = struct
     probe net node "tx.commit" commit_ts 0
 end
 
+(* Engineering constants no caller varies; the first five are shared
+   with the service layer. *)
+let op_ns = 120  (* shard occupancy per transaction step *)
+let msg_ns = 250  (* shard occupancy per delivered message *)
+let retry_ns = 400  (* backoff unit for locked keys *)
+let max_retries = 8
+let lease_ns = 3_000  (* read-lease extension granted per read *)
+let keys = 4_096
+let seq_ns = 220  (* sequencer occupancy per stamp (logical source) *)
+
 type config = {
-  shards : int;
-  keys : int;
   theta : float;  (* Zipf skew *)
   arrival_ns : int;  (* mean inter-arrival of the whole client stream *)
   batch : int;  (* client request batching factor *)
   read_pct : int;
   cross_pct : int;  (* cross-shard transfers, % of all txns *)
-  lease_ns : int;  (* read-lease extension granted per read *)
-  op_ns : int;  (* shard occupancy per transaction step *)
-  msg_ns : int;  (* shard occupancy per delivered message *)
-  seq_ns : int;  (* sequencer occupancy per stamp (logical source) *)
-  retry_ns : int;  (* backoff unit for locked keys *)
-  max_retries : int;
   dur_ns : int;  (* arrival window; the run then drains *)
   source : source;
 }
 
 let default =
   {
-    shards = 4;
-    keys = 4_096;
     theta = 0.6;
     arrival_ns = 150;
     batch = 1;
     read_pct = 50;
     cross_pct = 10;
-    lease_ns = 3_000;
-    op_ns = 120;
-    msg_ns = 250;
-    seq_ns = 220;
-    retry_ns = 400;
-    max_retries = 8;
     dur_ns = 200_000;
     source = Ordo;
   }
@@ -158,19 +165,17 @@ type key_state = Key.t = {
 }
 
 let run ~boundary (spec : Net.Spec.t) (cfg : config) =
-  if cfg.shards <> spec.Net.Spec.nodes then
-    invalid_arg "Kv.run: spec must have exactly one node per shard";
-  if cfg.keys < 2 * cfg.shards then invalid_arg "Kv.run: need at least 2 keys per shard";
+  let s = spec.Net.Spec.nodes in
+  if keys < 2 * s then invalid_arg "Kv.run: need at least 2 keys per shard";
   if cfg.batch < 1 then invalid_arg "Kv.run: batch must be >= 1";
   if boundary < 0 then invalid_arg "Kv.run: negative boundary";
   (* Two service nodes past the shards: the client and the sequencer.
      Reserved for both sources so the topology (and the composed
      measurement over it) is identical in a logical-vs-ordo comparison. *)
   let net : msg Net.t = Net.create (Net.Spec.extend spec 2) in
-  let s = cfg.shards in
   let client = s and seqr = s + 1 in
   let shard_of k = k mod s in
-  let tbl = Array.init cfg.keys (fun _ -> Key.make ~value:100) in
+  let tbl = Array.init keys (fun _ -> Key.make ~value:100) in
   let issued = ref 0
   and committed = ref 0
   and aborted = ref 0
@@ -202,14 +207,14 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
   (* -- shard-side transaction steps -- *)
   let rec retry tx shard reply =
     tx.tries <- tx.tries + 1;
-    if tx.tries > cfg.max_retries then begin
+    if tx.tries > max_retries then begin
       (* Cross-shard coordinators never hold the local lock here: the
          lock is taken only once the txn gets past this point. *)
       finish tx false shard reply
     end
     else
-      Net.at net ~node:shard ~delay:(cfg.retry_ns * tx.tries) (fun () ->
-          Net.busy net shard cfg.op_ns;
+      Net.at net ~node:shard ~delay:(retry_ns * tx.tries) (fun () ->
+          Net.busy net shard op_ns;
           step_txn tx shard None)
 
   and step_txn tx shard reply =
@@ -222,7 +227,7 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
         | Ordo ->
           let read_ts = max (clock shard) st.wts in
           if st.rts >= read_ts then incr renewals;
-          st.rts <- max st.rts (read_ts + cfg.lease_ns);
+          st.rts <- max st.rts (read_ts + lease_ns);
           emit_tx shard ~start_ts:read_ts ~reads:[ (k, st.ver) ] ~installs:[]
             ~commit_ts:read_ts;
           finish tx true shard reply
@@ -234,12 +239,9 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
       else begin
         match cfg.source with
         | Ordo ->
-          let ts = max (clock shard) (max (st.wts + 1) (st.rts + 1)) in
+          let ts = Key.write_stamp ~clock:(clock shard) ~floor:0 st in
           let old = st.ver in
-          st.ver <- old + 1;
-          st.wts <- ts;
-          st.rts <- max st.rts ts;
-          st.value <- st.value + 1;
+          Key.install st ~ver:(old + 1) ~ts ~delta:1;
           emit_tx shard ~start_ts:ts ~reads:[ (k, old) ] ~installs:[ (k, old + 1) ]
             ~commit_ts:ts;
           finish tx true shard reply
@@ -256,7 +258,7 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
         st.locked <- true;
         let prop =
           match cfg.source with
-          | Ordo -> max (clock shard) (max (st.wts + 1) (st.rts + 1))
+          | Ordo -> Key.write_stamp ~clock:(clock shard) ~floor:0 st
           | Logical -> 0
         in
         Net.send net ~src:shard ~dst:(shard_of b) (Prepare { tx; coord = shard; prop })
@@ -269,10 +271,7 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
     let a, b = match tx.op with Transfer (a, b) -> (a, b) | _ -> assert false in
     let st = tbl.(a) in
     let ver_a = st.ver in
-    st.ver <- ver_a + 1;
-    st.wts <- final;
-    st.rts <- max st.rts final;
-    st.value <- st.value - 1;
+    Key.install st ~ver:(ver_a + 1) ~ts:final ~delta:(-1);
     st.locked <- false;
     (* The commit-wait contract (only meaningful for the Ordo source):
        the published timestamp is certainly after the joint proposal. *)
@@ -292,16 +291,16 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
   Net.on_message net (fun src dst m ->
       match m with
       | Req txns ->
-        Net.busy net dst cfg.msg_ns;
+        Net.busy net dst msg_ns;
         let acc = ref [] in
         List.iter
           (fun tx ->
-            Net.busy net dst cfg.op_ns;
+            Net.busy net dst op_ns;
             step_txn tx dst (Some acc))
           txns;
         if !acc <> [] then Net.send net ~src:dst ~dst:client (Reply (List.rev !acc))
       | Prepare { tx; coord; prop } ->
-        Net.busy net dst (cfg.msg_ns + cfg.op_ns);
+        Net.busy net dst (msg_ns + op_ns);
         let b = match tx.op with Transfer (_, b) -> b | _ -> assert false in
         let st = tbl.(b) in
         if st.locked then Net.send net ~src:dst ~dst:coord (Conflict { tx })
@@ -309,18 +308,18 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
           st.locked <- true;
           let prop' =
             match cfg.source with
-            | Ordo -> max prop (max (clock dst) (max (st.wts + 1) (st.rts + 1)))
+            | Ordo -> Key.write_stamp ~clock:(clock dst) ~floor:prop st
             | Logical -> 0
           in
           Net.send net ~src:dst ~dst:coord (Prepared { tx; ver = st.ver; prop = prop' })
         end
       | Conflict { tx } ->
-        Net.busy net dst cfg.msg_ns;
+        Net.busy net dst msg_ns;
         let a = match tx.op with Transfer (a, _) -> a | _ -> assert false in
         tbl.(a).locked <- false;
         finish tx false dst None
       | Prepared { tx; ver; prop } -> (
-        Net.busy net dst (cfg.msg_ns + cfg.op_ns);
+        Net.busy net dst (msg_ns + op_ns);
         match cfg.source with
         | Ordo ->
           let commit_ts0 = prop in
@@ -340,22 +339,19 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
           Hashtbl.replace pending_ver tx.id ver;
           Net.send net ~src:dst ~dst:seqr (SeqReq { shard = dst; tx }))
       | Commit { tx; ver; ts } ->
-        Net.busy net dst (cfg.msg_ns + cfg.op_ns);
+        Net.busy net dst (msg_ns + op_ns);
         let b = match tx.op with Transfer (_, b) -> b | _ -> assert false in
         let st = tbl.(b) in
-        st.ver <- ver;
-        st.wts <- ts;
-        st.rts <- max st.rts ts;
-        st.value <- st.value + 1;
+        Key.install st ~ver ~ts ~delta:1;
         st.locked <- false
       | SeqReq { shard; tx } ->
         (* The contended resource of the logical baseline: one counter,
            one node, every stamp serialized through its occupancy. *)
-        Net.busy net dst cfg.seq_ns;
+        Net.busy net dst seq_ns;
         incr seq_counter;
         Net.send net ~src:dst ~dst:shard (SeqResp { tx; ts = !seq_counter })
       | SeqResp { tx; ts } -> (
-        Net.busy net dst cfg.msg_ns;
+        Net.busy net dst msg_ns;
         match tx.op with
         | Read k ->
           let st = tbl.(k) in
@@ -370,10 +366,7 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
         | Incr k ->
           let st = tbl.(k) in
           let old = st.ver in
-          st.ver <- old + 1;
-          st.wts <- ts;
-          st.rts <- max st.rts ts;
-          st.value <- st.value + 1;
+          Key.install st ~ver:(old + 1) ~ts ~delta:1;
           st.locked <- false;
           emit_tx dst ~start_ts:ts ~reads:[ (k, old) ] ~installs:[ (k, old + 1) ]
             ~commit_ts:ts;
@@ -399,7 +392,7 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
   let arr_rng = Rng.split base_rng in
   let key_rng = Rng.split base_rng in
   let mix_rng = Rng.split base_rng in
-  let zipf = Zipf.create ~n:cfg.keys ~theta:cfg.theta in
+  let zipf = Zipf.create ~n:keys ~theta:cfg.theta in
   let buf = Array.make s [] and bufn = Array.make s 0 in
   let flush d =
     if bufn.(d) > 0 then begin
@@ -418,8 +411,8 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
         (* Partner key on a different shard, Zipf-drawn when possible. *)
         let rec pick tries =
           if tries = 0 then
-            let rec bump k2 = if shard_of k2 <> shard_of k then k2 else bump ((k2 + 1) mod cfg.keys) in
-            bump ((k + 1) mod cfg.keys)
+            let rec bump k2 = if shard_of k2 <> shard_of k then k2 else bump ((k2 + 1) mod keys) in
+            bump ((k + 1) mod keys)
           else
             let k2 = Zipf.sample zipf key_rng in
             if shard_of k2 <> shard_of k then k2 else pick (tries - 1)

@@ -10,6 +10,11 @@
     the key's read lease instead of invalidating, so read-mostly keys
     never bounce between nodes.
 
+    The shard count is the spec's node count.  Message and step costs,
+    lock backoff, read-lease length and store size are the constants
+    below, not configuration: only the load shape and the timestamp
+    source vary between runs.
+
     When an {!Ordo_trace.Trace} sink is installed, the service emits
     (with [tid] = node id) [Clock_read] events for every protocol clock
     read, the [tx.*] probe protocol for every committed transaction, and
@@ -35,6 +40,16 @@ module Key : sig
   }
 
   val make : value:int -> t
+
+  val write_stamp : clock:int -> floor:int -> t -> int
+  (** Commit stamp for a write read at [clock]: at or above [clock] and
+      [floor], strictly above the installed version ([wts]) and every
+      granted read lease ([rts]). *)
+
+  val install : t -> ver:int -> ts:int -> delta:int -> unit
+  (** Install version [ver] at stamp [ts]: sets [ver] and [wts], raises
+      [rts] to at least [ts] and adds [delta] to [value].  Leaves
+      [locked] alone. *)
 end
 
 (** Trace vocabulary hooks: the [Clock_read]/[tx.*]/[ordo.new_time]
@@ -58,20 +73,34 @@ module Obs : sig
   (** Emit one committed transaction's probe group atomically. *)
 end
 
+(** {2 Constants}
+
+    The first five are shared with the service layer. *)
+
+val op_ns : int
+(** Node occupancy per transaction step. *)
+
+val msg_ns : int
+(** Node occupancy per delivered message. *)
+
+val retry_ns : int
+(** Backoff unit when a key is locked. *)
+
+val max_retries : int
+(** Locked-key retries before the operation fails. *)
+
+val lease_ns : int
+(** Read-lease extension granted per read. *)
+
+val keys : int
+(** Store size; every key starts at value 100. *)
+
 type config = {
-  shards : int;  (** must equal the spec's node count *)
-  keys : int;
   theta : float;  (** Zipf skew of the key popularity *)
   arrival_ns : int;  (** mean inter-arrival of the whole client stream *)
   batch : int;  (** transactions per client request message *)
   read_pct : int;
   cross_pct : int;  (** cross-shard transfers, % of all transactions *)
-  lease_ns : int;  (** read-lease extension granted per read *)
-  op_ns : int;  (** shard occupancy per transaction step *)
-  msg_ns : int;  (** shard occupancy per delivered message *)
-  seq_ns : int;  (** sequencer occupancy per stamp (logical source) *)
-  retry_ns : int;  (** backoff unit when a key is locked *)
-  max_retries : int;
   dur_ns : int;  (** arrival window; the run then drains to completion *)
   source : source;
 }
@@ -100,10 +129,10 @@ type result = {
 
 val run : boundary:int -> Net.Spec.t -> config -> result
 (** [run ~boundary spec cfg] executes one deterministic service run.
-    [spec] describes the shard nodes (one per shard); a client and a
+    [spec] describes the shard nodes (one shard per node); a client and a
     sequencer node are appended internally, for both sources, so the
     topology of a logical-vs-ordo comparison is identical.  [boundary]
     is the composed cluster boundary ({!Compose.measure}; pass the
     unsound [rtt2_boundary] to reproduce the violation fixture, or [0]
-    with the logical source).  Raises [Invalid_argument] on a
-    shard/spec mismatch or degenerate parameters. *)
+    with the logical source).  Raises [Invalid_argument] on a spec with
+    fewer than 2 keys per node, [batch < 1] or a negative boundary. *)

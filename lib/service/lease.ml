@@ -42,20 +42,3 @@ let promotion_floor ~until ~boundary ~now = Int.max now (until + boundary + 1)
 let degraded_read_ts ~wts ~rts ~until ~clock =
   let cap = Int.min rts until in
   if Int.compare cap wts < 0 then None else Some (Int.min cap (Int.max clock wts))
-
-(* Per-key stamp floor for a write: above the node's promotion floor and
-   certainly above the key's installed version and granted read leases. *)
-let write_floor ~floor ~wts ~rts = Int.max floor (Int.max (wts + 1) (rts + 1))
-
-(* How long past [until] a backup waits before failing over, as a
-   function of the Guard reaction policy (guard.mli): [Fallback] degrades
-   to the backup as soon as expiry is certain; [Inflate] keeps waiting
-   under an inflated bound; [Remeasure] asks the hook how much slack a
-   recalibration would add.  The returned patience is ns past [until] on
-   the backup's own clock; group rank is layered on top by the caller. *)
-let failover_patience ~(policy : Ordo_core.Guard.policy) ~boundary ~term_ns =
-  match policy with
-  | Ordo_core.Guard.Fallback -> boundary + 1
-  | Ordo_core.Guard.Inflate -> boundary + 1 + (4 * term_ns)
-  | Ordo_core.Guard.Remeasure f ->
-    boundary + 1 + Int.max 0 (f ~excess:term_ns ~boundary)

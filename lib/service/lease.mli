@@ -4,7 +4,9 @@
     cluster boundary: two stamps more than ORDO_BOUNDARY apart are
     certainly ordered, so a backup that waits out [until + boundary] and
     stamps above {!promotion_floor} can never contradict anything the
-    old primary served inside its lease. *)
+    old primary served inside its lease.  The service fails over as
+    soon as that expiry is certain; per-key write stamps clear the
+    promotion floor through {!Ordo_cluster.Kv.Key.write_stamp}. *)
 
 type t = { holder : int; term : int; until : int }
 
@@ -30,14 +32,3 @@ val degraded_read_ts : wts:int -> rts:int -> until:int -> clock:int -> int optio
     {!promotion_floor} even when replication lag left this backup's
     [rts] ahead of the new primary's.  [None] when no such point exists
     and the read must be shed. *)
-
-val write_floor : floor:int -> wts:int -> rts:int -> int
-(** Per-key stamp floor for a write: above the node floor, the installed
-    version and every granted read lease. *)
-
-val failover_patience :
-  policy:Ordo_core.Guard.policy -> boundary:int -> term_ns:int -> int
-(** Ns past [until] (on the backup's own clock) before failover, per the
-    Guard reaction policy: [Fallback] as soon as expiry is certain,
-    [Inflate] under a 4x-inflated bound, [Remeasure] per its hook.
-    Group rank offsets are layered on top by the caller. *)

@@ -7,10 +7,10 @@
    (Epoch) with ONE Ordo commit-wait per epoch instead of one per
    cross-shard transaction; every state transition replicates
    primary -> backup over a sequenced idempotent stream (Replog); and
-   leadership is lease-based (Lease) with Guard-policy failover
-   patience, so a chaos scenario (Node_fault via Chaos) that kills a
-   primary mid-2PC degrades, promotes and recovers without losing or
-   duplicating a commit.
+   leadership is lease-based (Lease) with failover as soon as the
+   lease has certainly expired, so a chaos scenario (Node_fault via
+   Chaos) that kills a primary mid-2PC degrades, promotes and recovers
+   without losing or duplicating a commit.
 
    Correctness skeleton — each rule is load-bearing:
 
@@ -53,8 +53,9 @@
    deterministic insertion history. *)
 
 module Net = Ordo_cluster.Net
-module Key = Ordo_cluster.Kv.Key
-module Obs = Ordo_cluster.Kv.Obs
+module Kv = Ordo_cluster.Kv
+module Key = Kv.Key
+module Obs = Kv.Obs
 module Sessions = Ordo_workloads.Sessions
 module Node_fault = Ordo_hazard.Node_fault
 module Stats = Ordo_util.Stats
@@ -63,42 +64,21 @@ type config = {
   profile : Sessions.profile;  (** traffic shape; [keys] come from here *)
   adm : Admission.config;
   epoch_ns : int;  (** group-commit epoch; 0 = per-transaction commit wait *)
-  term_ns : int;  (** leadership lease term *)
-  heartbeat_ns : int;  (** lease renewal / failure-detector tick *)
-  lease_ns : int;  (** read-lease extension granted per read *)
-  op_ns : int;  (** shard occupancy per request step *)
-  msg_ns : int;  (** node occupancy per delivered message *)
-  retry_ns : int;  (** server-side locked-key backoff unit *)
-  max_retries : int;  (** locked-key retries before failing the op *)
-  client_retry_ns : int;  (** client retransmit patience *)
-  max_attempts : int;  (** client attempts (sheds included) before giving up *)
-  prep_abort_ns : int;  (** coordinator patience before presuming a prepare dead *)
-  rexmit_ns : int;  (** decision retransmit interval *)
-  rexmit_cap : int;  (** decision retransmits before giving up *)
-  policy : Ordo_core.Guard.policy;  (** failover patience policy *)
   seed : int;
 }
 
 let default =
-  {
-    profile = Sessions.default;
-    adm = Admission.default;
-    epoch_ns = 1_500;
-    term_ns = 60_000;
-    heartbeat_ns = 20_000;
-    lease_ns = 3_000;
-    op_ns = 120;
-    msg_ns = 250;
-    retry_ns = 400;
-    max_retries = 8;
-    client_retry_ns = 40_000;
-    max_attempts = 12;
-    prep_abort_ns = 30_000;
-    rexmit_ns = 15_000;
-    rexmit_cap = 64;
-    policy = Ordo_core.Guard.Fallback;
-    seed = 1;
-  }
+  { profile = Sessions.default; adm = Admission.default; epoch_ns = 1_500; seed = 1 }
+
+(* Engineering constants no caller varies.  Step and message costs,
+   locked-key backoff and its cap, and the read-lease length are Kv's. *)
+let term_ns = 60_000  (* leadership lease term *)
+let heartbeat_ns = 20_000  (* lease renewal / failure-detector tick *)
+let client_retry_ns = 40_000  (* client retransmit patience *)
+let max_attempts = 12  (* client attempts (sheds included) before giving up *)
+let prep_abort_ns = 30_000  (* coordinator patience before presuming a prepare dead *)
+let rexmit_ns = 15_000  (* decision retransmit interval *)
+let rexmit_cap = 64  (* decision retransmits before giving up *)
 
 type group_stats = { g_admitted : int; g_shed : int; g_depth_hw : int }
 
@@ -255,11 +235,6 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
   if groups < 2 then invalid_arg "Service.run: need at least 2 groups";
   if boundary < 0 then invalid_arg "Service.run: negative boundary";
   if cfg.epoch_ns < 0 then invalid_arg "Service.run: negative epoch";
-  if
-    cfg.term_ns <= 0 || cfg.heartbeat_ns <= 0 || cfg.client_retry_ns <= 0
-    || cfg.max_attempts < 1 || cfg.prep_abort_ns <= 0 || cfg.rexmit_ns <= 0
-    || cfg.max_retries < 0 || cfg.rexmit_cap < 1
-  then invalid_arg "Service.run: degenerate timer config";
   Node_fault.validate ~nodes:spec.Net.Spec.nodes fault;
   (* transfers partner across groups: the traffic's partition count is
      the group count, whatever the profile said *)
@@ -272,9 +247,6 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
   let base_of g = g * replicas in
   let group_of_node i = i / replicas in
   let group_of_key k = k mod groups in
-  let patience =
-    Lease.failover_patience ~policy:cfg.policy ~boundary ~term_ns:cfg.term_ns
-  in
 
   (* ---- counters ---- *)
   let issued = ref 0 and committed = ref 0 and failed = ref 0 in
@@ -298,7 +270,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           n_role = (if i mod replicas = 0 then Leader else Backup);
           n_term = 1;
           n_lease =
-            Lease.grant ~holder:(base_of g) ~term:1 ~now:0 ~term_ns:cfg.term_ns;
+            Lease.grant ~holder:(base_of g) ~term:1 ~now:0 ~term_ns;
           n_floor = 0;
           n_store = Array.init keys (fun _ -> Key.make ~value:100);
           n_log = Replog.create ();
@@ -368,7 +340,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           match Hashtbl.find_opt n.n_unacked txid with
           | None -> ()
           | Some u ->
-            if u.u_tries >= cfg.rexmit_cap then Hashtbl.remove n.n_unacked txid
+            if u.u_tries >= rexmit_cap then Hashtbl.remove n.n_unacked txid
             else begin
               u.u_tries <- u.u_tries + 1;
               send_decision n txid
@@ -379,7 +351,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
   and arm_rexmit n =
     if not n.n_rexmit_armed then begin
       n.n_rexmit_armed <- true;
-      Net.at net ~node:n.n_id ~delay:cfg.rexmit_ns (rexmit_tick n)
+      Net.at net ~node:n.n_id ~delay:rexmit_ns (rexmit_tick n)
     end
   in
   (* First transmission of freshly decided transactions, then keep the
@@ -532,10 +504,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     let a = p.pr_key in
     let stk = n.n_store.(a) in
     let old = stk.Key.ver in
-    stk.Key.value <- stk.Key.value - 1;
-    stk.Key.ver <- old + 1;
-    stk.Key.wts <- final;
-    stk.Key.rts <- Int.max stk.Key.rts final;
+    Key.install stk ~ver:(old + 1) ~ts:final ~delta:(-1);
     stk.Key.locked <- false;
     Hashtbl.remove n.n_prep txid;
     Hashtbl.replace n.n_decided txid true;
@@ -624,9 +593,9 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
          peer's Promoted demotes us.  Unreplicated groups have no one
          to defer to and re-grant unconditionally. *)
       if Lease.valid n.n_lease ~now:c then
-        n.n_lease <- Lease.renew n.n_lease ~now:c ~term_ns:cfg.term_ns
+        n.n_lease <- Lease.renew n.n_lease ~now:c ~term_ns
       else if replicas = 1 then
-        n.n_lease <- Lease.grant ~holder:n.n_id ~term:n.n_term ~now:c ~term_ns:cfg.term_ns;
+        n.n_lease <- Lease.grant ~holder:n.n_id ~term:n.n_term ~now:c ~term_ns;
       if Lease.valid n.n_lease ~now:c then
         List.iter
           (fun p ->
@@ -634,7 +603,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
               (Heartbeat { term = n.n_term; until = n.n_lease.Lease.until }))
           (peers n);
       n.n_hb_armed <- true;
-      Net.at net ~node:n.n_id ~delay:cfg.heartbeat_ns (heartbeat n)
+      Net.at net ~node:n.n_id ~delay:heartbeat_ns (heartbeat n)
     end
   in
   let start_heartbeat n = if not n.n_hb_armed then heartbeat n () in
@@ -665,9 +634,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         (Hashtbl.fold (fun txid _ acc -> txid :: acc) n.n_unacked []);
     flush n;
     pump_decisions n;
-    n.n_lease <-
-      Lease.grant ~holder:n.n_id ~term:n.n_term ~now:(obs_clock n.n_id)
-        ~term_ns:cfg.term_ns;
+    n.n_lease <- Lease.grant ~holder:n.n_id ~term:n.n_term ~now:(obs_clock n.n_id) ~term_ns;
     views.(n.n_id).(n.n_group) <- n.n_id;
     let pos = Replog.position n.n_log in
     for d = 0 to nodes do
@@ -688,9 +655,10 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           probe n.n_id "svc.degraded" n.n_group n.n_term;
           Chaos.record tl ~at:(Net.now net) ~node:n.n_id ~group:n.n_group "DEGRADED"
         end;
+        (* fail over once expiry is certain on every clock; each
+           later rank waits one more lease term *)
         let give_up_at =
-          n.n_lease.Lease.until + patience
-          + (Int.max 0 (rank n - 1) * cfg.term_ns)
+          n.n_lease.Lease.until + boundary + 1 + (Int.max 0 (rank n - 1) * term_ns)
         in
         if c > give_up_at then promote n
       end;
@@ -699,15 +667,14 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
   and arm_monitor n =
     if not n.n_mon_armed then begin
       n.n_mon_armed <- true;
-      Net.at net ~node:n.n_id ~delay:cfg.heartbeat_ns (monitor n)
+      Net.at net ~node:n.n_id ~delay:heartbeat_ns (monitor n)
     end
   in
 
   (* ---- re-join (amnesia + snapshot) ---- *)
-  let rec rejoin n =
-    n.n_role <- Backup;
-    n.n_syncing <- true;
-    n.n_suspected <- false;
+  (* State that lives only in the process: buffered and held output,
+     peer acks, in-flight execution marks and failure suspicion. *)
+  let clear_volatile n =
     n.n_entries <- [];
     n.n_replies <- [];
     n.n_probes <- [];
@@ -715,9 +682,15 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     n.n_held <- [];
     Hashtbl.reset n.n_peer_ack;
     Hashtbl.reset n.n_unflushed;
+    Hashtbl.reset n.n_exec;
+    n.n_suspected <- false
+  in
+  let rec rejoin n =
+    n.n_role <- Backup;
+    n.n_syncing <- true;
+    clear_volatile n;
     Hashtbl.reset n.n_prep;
     Hashtbl.reset n.n_inflight;
-    Hashtbl.reset n.n_exec;
     Hashtbl.reset n.n_unacked;
     Hashtbl.reset n.n_decided;
     Hashtbl.reset n.n_done;
@@ -728,7 +701,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
       List.iter
         (fun p -> Net.send net ~src:n.n_id ~dst:p (Join { node = n.n_id }))
         (peers n);
-      Net.at net ~node:n.n_id ~delay:cfg.term_ns (join_loop n)
+      Net.at net ~node:n.n_id ~delay:term_ns (join_loop n)
     end
   in
   (* Chaos restart hook.  Volatile buffers and timers died with the old
@@ -737,19 +710,11 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
      the process); a replicated one re-joins with amnesia. *)
   let restart_node node =
     let n = st.(node) in
-    n.n_entries <- [];
-    n.n_replies <- [];
-    n.n_probes <- [];
-    n.n_to_send <- [];
-    n.n_held <- [];
-    Hashtbl.reset n.n_peer_ack;
-    Hashtbl.reset n.n_unflushed;
-    Hashtbl.reset n.n_exec;
+    clear_volatile n;
     n.n_flush_armed <- false;
     n.n_rexmit_armed <- false;
     n.n_hb_armed <- false;
     n.n_mon_armed <- false;
-    n.n_suspected <- false;
     if replicas = 1 then begin
       n.n_role <- Leader;
       n.n_term <- n.n_term + 1;
@@ -761,7 +726,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           (Hashtbl.fold (fun txid _ acc -> txid :: acc) n.n_unacked []);
       flush n;
       pump_decisions n;
-      n.n_lease <- Lease.grant ~holder:node ~term:n.n_term ~now:c ~term_ns:cfg.term_ns;
+      n.n_lease <- Lease.grant ~holder:node ~term:n.n_term ~now:c ~term_ns;
       views.(node).(n.n_group) <- node;
       let pos = Replog.position n.n_log in
       for d = 0 to nodes do
@@ -789,7 +754,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
            served (a read past its replicated rts) *)
         let c = obs_clock n.n_id in
         let read_at = Int.max c stk.Key.wts in
-        let new_rts = Int.max stk.Key.rts (read_at + cfg.lease_ns) in
+        let new_rts = Int.max stk.Key.rts (read_at + Kv.lease_ns) in
         stk.Key.rts <- new_rts;
         let ver = stk.Key.ver in
         buffer_entry n (Replog.Lease_ext { key = k; rts = new_rts });
@@ -807,14 +772,9 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
       if stk.Key.locked then retry_locked n rid op tries
       else begin
         let c = obs_clock n.n_id in
-        let ts =
-          Int.max c (Lease.write_floor ~floor:n.n_floor ~wts:stk.Key.wts ~rts:stk.Key.rts)
-        in
+        let ts = Key.write_stamp ~clock:c ~floor:n.n_floor stk in
         let old = stk.Key.ver in
-        stk.Key.value <- stk.Key.value + 1;
-        stk.Key.ver <- old + 1;
-        stk.Key.wts <- ts;
-        stk.Key.rts <- Int.max stk.Key.rts ts;
+        Key.install stk ~ver:(old + 1) ~ts ~delta:1;
         Hashtbl.replace n.n_done rid (true, 1);
         buffer_entry n
           (Replog.Install
@@ -834,9 +794,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
       if stk.Key.locked then retry_locked n rid op tries
       else begin
         let c = obs_clock n.n_id in
-        let prop =
-          Int.max c (Lease.write_floor ~floor:n.n_floor ~wts:stk.Key.wts ~rts:stk.Key.rts)
-        in
+        let prop = Key.write_stamp ~clock:c ~floor:n.n_floor stk in
         incr txid_counter;
         let txid = !txid_counter in
         stk.Key.locked <- true;
@@ -859,7 +817,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         flush n;
         Net.send net ~src:n.n_id ~dst:views.(n.n_id).(peer_group)
           (Prepare { txid; key_b = b; prop; coord = n.n_id });
-        Net.at net ~node:n.n_id ~delay:cfg.prep_abort_ns (fun () ->
+        Net.at net ~node:n.n_id ~delay:prep_abort_ns (fun () ->
             match Hashtbl.find_opt n.n_prep txid with
             | Some p when p.pr_coord && not (Hashtbl.mem n.n_decided txid) ->
               abort_tx n txid p ~notify_peer:true;
@@ -868,7 +826,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
             | _ -> ())
       end
   and retry_locked n rid op tries =
-    if tries >= cfg.max_retries then begin
+    if tries >= Kv.max_retries then begin
       (* burn the rid so the client reissues under a fresh one *)
       Hashtbl.replace n.n_done rid (false, 0);
       buffer_entry n (Replog.Done { rid; ok = false; delta = 0 });
@@ -878,12 +836,12 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
       ensure_flush n
     end
     else
-      Net.at net ~node:n.n_id ~delay:(cfg.retry_ns * (tries + 1)) (fun () ->
+      Net.at net ~node:n.n_id ~delay:(Kv.retry_ns * (tries + 1)) (fun () ->
           if
             n.n_role = Leader && (not n.n_syncing)
             && Lease.valid n.n_lease ~now:(obs_clock n.n_id)
           then begin
-            Net.busy net n.n_id cfg.op_ns;
+            Net.busy net n.n_id Kv.op_ns;
             exec n rid op (tries + 1)
           end
           else begin
@@ -948,7 +906,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
       let late =
         Hashtbl.fold
           (fun _ p acc ->
-            if now - p.p_sent_at >= cfg.client_retry_ns then p :: acc else acc)
+            if now - p.p_sent_at >= client_retry_ns then p :: acc else acc)
           pending []
       in
       let late = List.sort (fun a b -> Int.compare a.p_rid b.p_rid) late in
@@ -956,13 +914,13 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         (fun p ->
           p.p_attempts <- p.p_attempts + 1;
           p.p_rot <- p.p_rot + 1;
-          if p.p_attempts >= cfg.max_attempts then begin
+          if p.p_attempts >= max_attempts then begin
             Hashtbl.remove pending p.p_rid;
             finishp p false
           end
           else send_req p)
         late;
-      Net.at net ~node:client ~delay:(Int.max 1 (cfg.client_retry_ns / 2)) scan
+      Net.at net ~node:client ~delay:(Int.max 1 (client_retry_ns / 2)) scan
     end
   in
   (* Session driving: think, issue, repeat; churn back in on completion. *)
@@ -996,7 +954,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
   let handler src dst m =
     match m with
     | Req { rid; op } ->
-      Net.busy net dst cfg.msg_ns;
+      Net.busy net dst Kv.msg_ns;
       let n = st.(dst) in
       (match n.n_role with
       | Leader when not n.n_syncing ->
@@ -1005,7 +963,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           (* own lease lapsed (e.g. deferred under load): shed rather
              than risk serving past it *)
           Net.send net ~src:dst ~dst:client
-            (Reply { rid; outcome = Shed_retry cfg.heartbeat_ns })
+            (Reply { rid; outcome = Shed_retry heartbeat_ns })
         else if Hashtbl.mem n.n_unflushed rid then ()  (* reply already buffered *)
         else (
           match Hashtbl.find_opt n.n_done rid with
@@ -1024,7 +982,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
                   (Reply { rid; outcome = Shed_retry ra })
               | `Admit ->
                 Hashtbl.replace n.n_exec rid ();
-                Net.busy net dst cfg.op_ns;
+                Net.busy net dst Kv.op_ns;
                 exec n rid op 0))
       | _ ->
         if n.n_syncing then ()
@@ -1036,7 +994,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
             let stk = n.n_store.(k) in
             if stk.Key.locked then
               Net.send net ~src:dst ~dst:client
-                (Reply { rid; outcome = Shed_retry cfg.retry_ns })
+                (Reply { rid; outcome = Shed_retry Kv.retry_ns })
             else (
               let c = obs_clock dst in
               match
@@ -1051,15 +1009,15 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
                 Net.send net ~src:dst ~dst:client (Reply { rid; outcome = Done_ok })
               | None ->
                 Net.send net ~src:dst ~dst:client
-                  (Reply { rid; outcome = Shed_retry (cfg.retry_ns * 4) }))
+                  (Reply { rid; outcome = Shed_retry (Kv.retry_ns * 4) }))
           | _ ->
             Net.send net ~src:dst ~dst:client
-              (Reply { rid; outcome = Shed_retry cfg.heartbeat_ns }))
+              (Reply { rid; outcome = Shed_retry heartbeat_ns }))
         else
           Net.send net ~src:dst ~dst:client
             (Reply { rid; outcome = Moved views.(dst).(n.n_group) }))
     | Prepare { txid; key_b; prop; coord } ->
-      Net.busy net dst (cfg.msg_ns + cfg.op_ns);
+      Net.busy net dst (Kv.msg_ns + Kv.op_ns);
       let n = st.(dst) in
       if n.n_role <> Leader || n.n_syncing then ()
       else if Hashtbl.mem n.n_decided txid || Hashtbl.mem n.n_prep txid then ()
@@ -1073,11 +1031,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         else begin
           stk.Key.locked <- true;
           let c = obs_clock dst in
-          let prop2 =
-            Int.max prop
-              (Int.max c
-                 (Lease.write_floor ~floor:n.n_floor ~wts:stk.Key.wts ~rts:stk.Key.rts))
-          in
+          let prop2 = Key.write_stamp ~clock:c ~floor:(Int.max prop n.n_floor) stk in
           Hashtbl.replace n.n_prep txid
             {
               pr_txid = txid;
@@ -1104,7 +1058,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         end
       end
     | Prepared { txid; ver_b; prop } ->
-      Net.busy net dst (cfg.msg_ns + cfg.op_ns);
+      Net.busy net dst (Kv.msg_ns + Kv.op_ns);
       let n = st.(dst) in
       if n.n_role <> Leader || n.n_syncing || Hashtbl.mem n.n_decided txid then ()
       else (
@@ -1134,7 +1088,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           end
           else publish n tx_start [ fn ])
     | Conflict { txid } ->
-      Net.busy net dst cfg.msg_ns;
+      Net.busy net dst Kv.msg_ns;
       let n = st.(dst) in
       (match Hashtbl.find_opt n.n_prep txid with
       | Some p when p.pr_coord && not (Hashtbl.mem n.n_decided txid) ->
@@ -1143,7 +1097,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         ensure_flush n
       | _ -> ())
     | Decision { txid; commit; ts; ver_b } ->
-      Net.busy net dst (cfg.msg_ns + cfg.op_ns);
+      Net.busy net dst (Kv.msg_ns + Kv.op_ns);
       let n = st.(dst) in
       if
         n.n_role <> Leader || n.n_syncing
@@ -1154,10 +1108,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         | Some p when not p.pr_coord ->
           let stk = n.n_store.(p.pr_key) in
           if commit then begin
-            stk.Key.value <- stk.Key.value + 1;
-            stk.Key.ver <- ver_b;
-            stk.Key.wts <- ts;
-            stk.Key.rts <- Int.max stk.Key.rts ts;
+            Key.install stk ~ver:ver_b ~ts ~delta:1;
             buffer_entry n
               (Replog.Install
                  { key = p.pr_key; value = stk.Key.value; ver = ver_b; wts = ts; rts = stk.Key.rts })
@@ -1173,7 +1124,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         Net.send net ~src:dst ~dst:src (DecisionAck { txid })
       end
     | DecisionAck { txid } ->
-      Net.busy net dst cfg.msg_ns;
+      Net.busy net dst Kv.msg_ns;
       let n = st.(dst) in
       if Hashtbl.mem n.n_unacked txid then begin
         Hashtbl.remove n.n_unacked txid;
@@ -1181,7 +1132,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         ensure_flush n
       end
     | Rep { term; entries } ->
-      Net.busy net dst cfg.msg_ns;
+      Net.busy net dst Kv.msg_ns;
       let n = st.(dst) in
       if n.n_role <> Backup || n.n_syncing || term < n.n_term then incr rep_stale
       else begin
@@ -1191,7 +1142,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           (RepAck { term = n.n_term; seq = Replog.applied_seq n.n_log })
       end
     | RepAck { term; seq } ->
-      Net.busy net dst cfg.msg_ns;
+      Net.busy net dst Kv.msg_ns;
       let n = st.(dst) in
       (* an old-term ack refers to a forked sequence space: ignore it *)
       if n.n_role = Leader && (not n.n_syncing) && term = n.n_term then begin
@@ -1200,7 +1151,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         release_held n
       end
     | Heartbeat { term; until } ->
-      Net.busy net dst cfg.msg_ns;
+      Net.busy net dst Kv.msg_ns;
       let n = st.(dst) in
       if n.n_role = Backup && (not n.n_syncing) && term >= n.n_term then begin
         if term > n.n_term then n.n_term <- term;
@@ -1215,7 +1166,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         Hashtbl.iter (fun _ p -> if p.p_group = group then p.p_rot <- 0) pending
       end
       else begin
-        Net.busy net dst cfg.msg_ns;
+        Net.busy net dst Kv.msg_ns;
         views.(dst).(group) <- leader;
         let n = st.(dst) in
         if n.n_group = group && dst <> leader && term > n.n_term then begin
@@ -1226,7 +1177,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
             {
               Lease.holder = leader;
               term;
-              until = Int.max n.n_lease.Lease.until (c + cfg.term_ns);
+              until = Int.max n.n_lease.Lease.until (c + term_ns);
             };
           if n.n_role = Leader then rejoin n  (* deposed *)
           else if (not n.n_syncing) && Replog.applied_seq n.n_log <> pos then
@@ -1236,7 +1187,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         end
       end
     | Join { node } ->
-      Net.busy net dst (cfg.msg_ns + cfg.op_ns);
+      Net.busy net dst (Kv.msg_ns + Kv.op_ns);
       let n = st.(dst) in
       if n.n_role = Leader && (not n.n_syncing) && group_of_node node = n.n_group
       then begin
@@ -1268,7 +1219,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         release_held n
       end
     | Snapshot { term; seq; keys = ks; preps; dones; decideds; unackeds } ->
-      Net.busy net dst (cfg.msg_ns + cfg.op_ns);
+      Net.busy net dst (Kv.msg_ns + Kv.op_ns);
       let n = st.(dst) in
       if n.n_syncing then begin
         List.iter
@@ -1302,7 +1253,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           {
             Lease.holder = src;
             term = n.n_term;
-            until = Int.max n.n_lease.Lease.until (c + cfg.term_ns);
+            until = Int.max n.n_lease.Lease.until (c + term_ns);
           };
         incr snapshots;
         Chaos.record tl ~at:(Net.now net) ~node:dst ~group:n.n_group "RECOVERED";
@@ -1319,19 +1270,19 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         | Done_fail ->
           Hashtbl.remove pending rid;
           p.p_attempts <- p.p_attempts + 1;
-          if p.p_attempts >= cfg.max_attempts then finishp p false
+          if p.p_attempts >= max_attempts then finishp p false
           else begin
             (* the old rid is burned in the done-table: fresh identity *)
             incr rid_counter;
             let p2 = { p with p_rid = !rid_counter } in
             Hashtbl.replace pending p2.p_rid p2;
-            Net.at net ~node:client ~delay:(cfg.retry_ns * p2.p_attempts) (fun () ->
+            Net.at net ~node:client ~delay:(Kv.retry_ns * p2.p_attempts) (fun () ->
                 if Hashtbl.mem pending p2.p_rid then send_req p2)
           end
         | Shed_retry ra ->
           incr shed_replies;
           p.p_attempts <- p.p_attempts + 1;
-          if p.p_attempts >= cfg.max_attempts then begin
+          if p.p_attempts >= max_attempts then begin
             Hashtbl.remove pending rid;
             finishp p false
           end
@@ -1345,7 +1296,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           views.(client).(p.p_group) <- leader;
           p.p_rot <- 0;
           p.p_attempts <- p.p_attempts + 1;
-          if p.p_attempts >= cfg.max_attempts then begin
+          if p.p_attempts >= max_attempts then begin
             Hashtbl.remove pending rid;
             finishp p false
           end
@@ -1359,9 +1310,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
   Array.iter
     (fun n ->
       if n.n_role = Leader then begin
-        n.n_lease <-
-          Lease.grant ~holder:n.n_id ~term:n.n_term ~now:(obs_clock n.n_id)
-            ~term_ns:cfg.term_ns;
+        n.n_lease <- Lease.grant ~holder:n.n_id ~term:n.n_term ~now:(obs_clock n.n_id) ~term_ns;
         start_heartbeat n
       end
       else arm_monitor n)
@@ -1369,7 +1318,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
   Chaos.install net fault ~timer_node:client ~group_of:group_of_node
     ~on_restart:restart_node tl;
   arrive ();
-  Net.at net ~node:client ~delay:(Int.max 1 (cfg.client_retry_ns / 2)) scan;
+  Net.at net ~node:client ~delay:(Int.max 1 (client_retry_ns / 2)) scan;
   Net.run net;
 
   (* ---- results ---- *)

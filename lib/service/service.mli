@@ -8,8 +8,16 @@
     [ordo.new_time] probe per {e epoch} instead of per cross-shard
     transaction), per-shard admission control ({!Admission}),
     primary → backup replication over a sequenced idempotent stream
-    ({!Replog}), and lease-based failover ({!Lease}) whose patience
-    follows the {!Ordo_core.Guard} reaction policy.
+    ({!Replog}), and lease-based failover ({!Lease}): a backup promotes
+    once the leader's lease has certainly expired on every clock
+    ([until + boundary + 1] on its own), later ranks one lease term
+    later each.
+
+    The composed [ORDO_BOUNDARY] is the only ordering parameter.  A
+    caller sets the traffic, admission limits, epoch length and seed;
+    lease and heartbeat timers, retry budgets and step costs are
+    constants (the costs, locked-key backoff and read-lease length are
+    {!Ordo_cluster.Kv}'s).
 
     The flush discipline makes leader death exactly-once: replication
     entries ship to the backups before any client reply or 2PC message
@@ -30,19 +38,6 @@ type config = {
           transfer partner distance is forced to the group count *)
   adm : Admission.config;
   epoch_ns : int;  (** group-commit epoch; 0 = per-transaction commit wait *)
-  term_ns : int;  (** leadership lease term *)
-  heartbeat_ns : int;  (** lease renewal / failure-detector tick *)
-  lease_ns : int;  (** read-lease extension granted per read *)
-  op_ns : int;  (** shard occupancy per request step *)
-  msg_ns : int;  (** node occupancy per delivered message *)
-  retry_ns : int;  (** server-side locked-key backoff unit *)
-  max_retries : int;  (** locked-key retries before failing the op *)
-  client_retry_ns : int;  (** client retransmit patience *)
-  max_attempts : int;  (** client attempts (sheds included) before giving up *)
-  prep_abort_ns : int;  (** coordinator patience before presuming a prepare dead *)
-  rexmit_ns : int;  (** decision retransmit interval *)
-  rexmit_cap : int;  (** decision retransmits before giving up *)
-  policy : Ordo_core.Guard.policy;  (** failover patience policy *)
   seed : int;
 }
 
@@ -101,4 +96,4 @@ val run :
     [boundary] is the composed cluster [ORDO_BOUNDARY]; [fault] an
     optional chaos scenario (validated against the spec's node count).
     Raises [Invalid_argument] on fewer than 2 groups, a negative
-    boundary/epoch, degenerate timers, or an invalid fault scenario. *)
+    boundary or epoch, or an invalid fault scenario. *)

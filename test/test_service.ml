@@ -17,6 +17,7 @@ module Service = Ordo_service.Service
 module Admission = Ordo_service.Admission
 module Epoch = Ordo_service.Epoch
 module Lease = Ordo_service.Lease
+module Key = Ordo_cluster.Kv.Key
 
 let check = Alcotest.check
 
@@ -217,15 +218,19 @@ let test_lease_read_never_past_rts =
            expired; its floor is > until + boundary >= t + 1 *)
         && t < Lease.promotion_floor ~until ~boundary:bnd ~now:(until + bnd + 1))
 
-let test_lease_write_floor =
+let test_key_write_stamp =
   let gen =
     QCheck2.Gen.(
-      triple (int_range 0 1_000_000) (int_range 0 1_000_000) (int_range 0 1_000_000))
+      quad (int_range 0 1_000_000) (int_range 0 1_000_000) (int_range 0 1_000_000)
+        (int_range 0 1_000_000))
   in
   qtest ~count:500 "write floor clears version, leases and node floor" gen
-    (fun (floor, wts, rts) ->
-      let f = Lease.write_floor ~floor ~wts ~rts in
-      f >= floor && f > wts && f > rts)
+    (fun (floor, wts, rts, clock) ->
+      let k = { (Key.make ~value:0) with Key.wts; rts } in
+      let f = Key.write_stamp ~clock ~floor k in
+      (* clears every bound, and is the least stamp that does *)
+      f >= clock && f >= floor && f > wts && f > rts
+      && (f = clock || f = floor || f = wts + 1 || f = rts + 1))
 
 (* ---- chaos: kill a primary mid-2PC ---- *)
 
@@ -270,12 +275,29 @@ let test_chaos_primary_kill () =
   check Alcotest.bool "recovers after the restart" true (idx "RESTARTED" < idx "RECOVERED")
 
 let test_chaos_fault_validated () =
-  let spec = spec_of "2x2xamd" in
-  let bad = { Node_fault.name = "oob"; events = [ { Node_fault.at = 10; action = Node_fault.Kill { node = 99 } } ] } in
-  Sim.with_fresh_instance @@ fun () ->
-  match Service.run ~boundary:4_000 ~fault:bad spec base_cfg with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "out-of-range fault accepted"
+  (* Every input [Service.run] rejects, one row each, with its message. *)
+  let none = Node_fault.empty "none" in
+  let oob =
+    {
+      Node_fault.name = "oob";
+      events = [ { Node_fault.at = 10; action = Node_fault.Kill { node = 99 } } ];
+    }
+  in
+  List.iter
+    (fun (spec, boundary, cfg, fault, msg) ->
+      Sim.with_fresh_instance @@ fun () ->
+      Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+          ignore (Service.run ~boundary ~fault (spec_of spec) cfg)))
+    [
+      ("1x2xamd", 4_000, base_cfg, none, "Service.run: need at least 2 groups");
+      ("2x2xamd", -1, base_cfg, none, "Service.run: negative boundary");
+      ( "2x2xamd",
+        4_000,
+        { base_cfg with Service.epoch_ns = -1 },
+        none,
+        "Service.run: negative epoch" );
+      ("2x2xamd", 4_000, base_cfg, oob, "node fault oob: node 99 out of range");
+    ]
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -290,7 +312,7 @@ let suite =
     case "epoch batches unit" test_epoch_unit;
     case "lease unit" test_lease_unit;
     test_lease_read_never_past_rts;
-    test_lease_write_floor;
+    test_key_write_stamp;
     case "chaos: primary killed mid-run" test_chaos_primary_kill;
     case "chaos: fault scenarios validated" test_chaos_fault_validated;
   ]

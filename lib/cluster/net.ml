@@ -422,7 +422,7 @@ let send t ~src ~dst m =
     match l.Spec.mode with
     | Spec.Reorder -> t.now_ + flight
     | Spec.Fifo ->
-      let a = max (t.now_ + flight) (t.last_arrival.(src).(dst) + 1) in
+      let a = Int.max (t.now_ + flight) (t.last_arrival.(src).(dst) + 1) in
       t.last_arrival.(src).(dst) <- a;
       a
   in
@@ -447,7 +447,7 @@ let busy t n ns =
   check_node t n "busy";
   if ns < 0 then invalid_arg "Net.busy: negative duration";
   let nd = t.node_tbl.(n) in
-  nd.busy_until <- max nd.busy_until t.now_ + ns
+  nd.busy_until <- Int.max nd.busy_until t.now_ + ns
 
 (* Deliveries and timers reaching a busy node wait in its inbox.  The
    order they run in is exactly the one a plain heap gives when each such

@@ -1368,7 +1368,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
   in
   let sum_over f = Array.fold_left (fun acc n -> acc + f n) 0 st in
   let lats = Array.of_list !lats in
-  Array.sort compare lats;
+  Array.sort Float.compare lats;
   let pct p = if Array.length lats = 0 then 0.0 else Stats.percentile lats p in
   let ss = Sessions.stats gen in
   {

@@ -282,7 +282,7 @@ let read_miss eng th line =
       (Machine.transfer_class m req own, Machine.transfer_ns m req own)
   in
   sharer_add line.sharers th.id;
-  let start = max th.time line.free_at in
+  let start = Int.max th.time line.free_at in
   (* Misses are pipelined through the line's directory slot: each one
      occupies it briefly, so a storm of misses on a hot line serializes. *)
   line.free_at <- start + m.Machine.read_service_ns;
@@ -295,7 +295,7 @@ let read_miss eng th line =
 let exclusive_completion eng th line ~exec_ns =
   touch eng line;
   let m = eng.machine in
-  let start = max th.time line.free_at in
+  let start = Int.max th.time line.free_at in
   let cls, transfer =
     if line.owner = th.id then
       if not (sharer_is_empty line.sharers) then (Trace.cls_llc, m.Machine.llc_ns)
@@ -467,7 +467,7 @@ let work n =
   | Some eng ->
     let th = eng.cur in
     offline_release eng th;
-    finish eng th () (th.time + scale th (max 0 n))
+    finish eng th () (th.time + scale th (Int.max 0 n))
 
 let fence () = ()
 

@@ -92,7 +92,7 @@ let pop_exn t =
       let base = (4 * !i) + 1 in
       if base >= n then continue := false
       else begin
-        let last = min (base + 3) (n - 1) in
+        let last = Int.min (base + 3) (n - 1) in
         let s = ref base in
         let st = ref (Array.unsafe_get times base) in
         let ss = ref (Array.unsafe_get seqs base) in

@@ -36,7 +36,7 @@ let percentile a q =
     if is_sorted a then a
     else begin
       let copy = Array.copy a in
-      Array.sort compare copy;
+      Array.sort Float.compare copy;
       copy
     end
   in
@@ -52,7 +52,7 @@ let percentile a q =
 let summarize a =
   if Array.length a = 0 then invalid_arg "Stats.summarize: empty";
   let sorted = Array.copy a in
-  Array.sort compare sorted;
+  Array.sort Float.compare sorted;
   {
     count = Array.length a;
     mean = mean a;

@@ -299,6 +299,48 @@ let test_chaos_fault_validated () =
       ("2x2xamd", 4_000, base_cfg, oob, "node fault oob: node 99 out of range");
     ]
 
+(* ---- the checker's report on a failing run, pinned ----
+
+   `ordo_service --spec=2x2xamd --sessions=200 --dur=200000 --seed=12`
+   exits 1: conservation is off by one and the checker finds one
+   commit-order inversion.  Its report is pinned field for field, the
+   transactions the violation names included, so a checker change that
+   moves any count or verdict on a real service trace fails here. *)
+
+let test_seed12_report () =
+  let spec = spec_of "2x2xamd" in
+  let boundary = Sim.with_fresh_instance (fun () -> (Compose.measure spec).Compose.boundary) in
+  let cfg =
+    {
+      Service.default with
+      Service.profile = { Sessions.default with Sessions.sessions = 200; dur_ns = 200_000 };
+      seed = 12;
+    }
+  in
+  let rep =
+    Sim.with_fresh_instance @@ fun () ->
+    Trace.start ~capacity:262_144 ();
+    ignore (Service.run ~boundary spec cfg : Service.result);
+    Checker.check ~boundary (Trace.stop ())
+  in
+  let counts (r : Checker.report) =
+    [ r.boundary; r.clock_reads; r.new_times; r.stamps; r.hazards; r.guard_events; r.committed;
+      r.aborted; r.edges; r.ambiguous ]
+  in
+  check Alcotest.(list int) "report counts"
+    [ 3769; 13827; 137; 0; 0; 0; 1936; 0; 3441; 2 ]
+    (counts rep);
+  let from_tx =
+    { Checker.tx_tid = 1; start_ts = 1000000489186; commit_ts = 1000000489186; commit_seq = 19197;
+      commit_time = 513451; reads = [ (52, 2) ]; installs = [] }
+  and to_tx =
+    { Checker.tx_tid = 0; start_ts = 1000000173075; commit_ts = 1000000222946; commit_seq = 9725;
+      commit_time = 267586; reads = [ (33, 3); (52, 2) ];
+      installs = [ (33, 4, 9724); (52, 3, 9723) ] }
+  in
+  check Alcotest.bool "one commit-order inversion on key 52" true
+    (rep.Checker.violations = [ Checker.Edge_inversion { key = 52; from_tx; to_tx } ])
+
 let case name f = Alcotest.test_case name `Quick f
 
 let suite =
@@ -315,4 +357,5 @@ let suite =
     test_key_write_stamp;
     case "chaos: primary killed mid-run" test_chaos_primary_kill;
     case "chaos: fault scenarios validated" test_chaos_fault_validated;
+    case "checker report pinned on the seed-12 run" test_seed12_report;
   ]

@@ -394,7 +394,125 @@ let test_checker_empty_trace () =
   let t = Trace.stop () in
   let r = Checker.check ~boundary:100 t in
   check Alcotest.bool "empty trace passes" true (Checker.ok r);
-  check Alcotest.int "no reads" 0 r.Checker.clock_reads
+  check Alcotest.int "no reads" 0 r.Checker.clock_reads;
+  Alcotest.check_raises "negative boundary" (Invalid_argument "Checker.check: negative boundary")
+    (fun () -> ignore (Checker.check ~boundary:(-1) t : Checker.report));
+  Alcotest.check_raises "negative guard boundary"
+    (Invalid_argument "Checker.check_guard: negative boundary") (fun () ->
+      ignore (Checker.check_guard ~boundary:(-1) t : Checker.report))
+
+(* ---- checker: differential against the list-based reference ---- *)
+
+(* One emission of a generated probe stream: which tid, how far its clock
+   moves (sometimes backwards), an operation and two payloads. *)
+type op = { tid : int; dt : int; op : int; x : int; y : int }
+
+let op_gen =
+  QCheck2.Gen.(
+    map
+      (fun ((tid, dt), (op, x, y)) -> { tid; dt; op; x; y })
+      (pair
+         (pair (int_range 0 3) (int_range (-1) 3))
+         (triple (int_range 0 20) (int_range 0 9) (int_range 0 40))))
+
+let print_ops (boundary, ops) =
+  Printf.sprintf "boundary %d, %d ops: %s" boundary (List.length ops)
+    (String.concat " "
+       (List.map (fun o -> Printf.sprintf "%d%+d:%d(%d,%d)" o.tid o.dt o.op o.x o.y) ops))
+
+(* Emit a stream of tx.*, clock, new_time, guard and hazard events over
+   4 tids and 3 keys.  Installs write versions 1-3, so they repeat, and
+   reads see versions 0-4, so some read the initial version and some a
+   version never installed; aborts, re-opened tids and cycles all
+   occur. *)
+let emit_ops ops =
+  Trace.start ~capacity:4096 ~threads:4 ();
+  let tag = Trace.intern in
+  let clock = Array.make 4 0 in
+  List.iter
+    (fun o ->
+      clock.(o.tid) <- Int.max 0 (clock.(o.tid) + o.dt);
+      let probe name b c =
+        Trace.emit ~tid:o.tid ~time:clock.(o.tid) Trace.Probe ~a:(tag name) ~b ~c
+      in
+      let read v c = Trace.emit ~tid:o.tid ~time:clock.(o.tid) Trace.Clock_read ~a:v ~b:0 ~c in
+      match o.op with
+      | 0 | 1 | 2 -> probe "tx.begin" o.y 0
+      | 3 | 4 | 5 | 6 | 7 -> probe "tx.read" (o.x mod 3) (o.y mod 5)
+      | 8 | 9 | 10 | 11 -> probe "tx.install" (o.x mod 3) (1 + (o.y mod 3))
+      | 12 | 13 | 14 -> probe "tx.commit" o.y 0
+      | 15 -> probe "tx.abort" 0 0
+      | 16 -> read o.y (o.x mod 4)
+      | 17 -> probe "ordo.new_time" o.x (o.x + (o.y / 4))
+      | 18 ->
+        read o.y (o.x mod 3);
+        probe Trace.tag_guard_ts o.y o.x
+      | 19 when o.x mod 2 = 0 -> probe Trace.tag_guard_ts o.y o.x
+      | 19 ->
+        let tag = if o.x mod 4 = 1 then Trace.tag_guard_bound else Trace.tag_guard_remeasure in
+        probe tag o.y 0
+      | _ ->
+        Trace.emit ~tid:o.tid ~time:clock.(o.tid) Trace.Hazard ~a:Trace.hz_step ~b:o.tid ~c:o.y)
+    ops;
+  Trace.stop ()
+
+(* Equal counts; equal invariant 1 and 2 violations in order; edge
+   inversions equal as a multiset; and a cycle exactly when the
+   reference has one, which must be a cycle of the reference's edges. *)
+let same_report (got : Checker.report) ((want : Checker.report), edges) =
+  let counts (r : Checker.report) =
+    [ r.boundary; r.clock_reads; r.new_times; r.stamps; r.hazards; r.guard_events; r.committed;
+      r.aborted; r.edges; r.ambiguous ]
+  in
+  let part (r : Checker.report) =
+    let edge = function Checker.Edge_inversion _ -> true | _ -> false in
+    let first = function Checker.Edge_inversion _ | Checker.Conflict_cycle _ -> false | _ -> true in
+    ( List.filter first r.violations,
+      List.sort compare (List.filter edge r.violations),
+      List.find_map (function Checker.Conflict_cycle c -> Some c | _ -> None) r.violations )
+  in
+  let first_g, edges_g, cycle_g = part got and first_w, edges_w, cycle_w = part want in
+  let is_cycle (txs : Checker.tx list) =
+    let seqs = List.map (fun (tx : Checker.tx) -> tx.commit_seq) txs in
+    let next = List.tl seqs @ [ List.hd seqs ] in
+    List.length (List.sort_uniq compare seqs) = List.length seqs
+    && List.for_all2 (fun u w -> List.mem (u, w) edges) seqs next
+  in
+  counts got = counts want && first_g = first_w && edges_g = edges_w
+  && match (cycle_g, cycle_w) with
+     | None, None -> true
+     | Some c, Some _ -> c <> [] && is_cycle c
+     | _ -> false
+
+let checker_matches_reference (boundary, ops) =
+  let t = emit_ops ops in
+  same_report (Checker.check ~boundary t) (Checker_ref.check ~boundary t)
+  && same_report (Checker.check_guard ~boundary t) (Checker_ref.check_guard ~boundary t)
+
+let test_checker_differential =
+  prop "checker = list-based reference on generated probe streams" ~count:1000 ~print:print_ops
+    QCheck2.Gen.(pair (int_range 0 12) (list_size (int_range 0 160) op_gen))
+    checker_matches_reference
+
+(* Write skew: each tx reads the initial version of the key the other
+   installs, so each precedes the other (ops 0, 3, 8 and 12 of
+   [emit_ops]: begin, read, install version 1, commit). *)
+let test_checker_reports_cycle () =
+  let ops =
+    [
+      { tid = 0; dt = 1; op = 0; x = 0; y = 1 }; { tid = 1; dt = 1; op = 0; x = 0; y = 1 };
+      { tid = 0; dt = 1; op = 3; x = 1; y = 0 }; { tid = 1; dt = 1; op = 3; x = 0; y = 0 };
+      { tid = 0; dt = 1; op = 8; x = 0; y = 0 }; { tid = 1; dt = 1; op = 8; x = 1; y = 0 };
+      { tid = 0; dt = 1; op = 12; x = 0; y = 10 }; { tid = 1; dt = 1; op = 12; x = 0; y = 11 };
+    ]
+  in
+  let r = Checker.check ~boundary:100 (emit_ops ops) in
+  check Alcotest.(pair int int) "committed, edges" (2, 2) (r.Checker.committed, r.Checker.edges);
+  match r.Checker.violations with
+  | [ Checker.Conflict_cycle [ a; b ] ] ->
+    check Alcotest.(list int) "both txs, one each" [ 0; 1 ]
+      (List.sort compare [ a.Checker.tx_tid; b.Checker.tx_tid ])
+  | _ -> Alcotest.failf "expected one 2-cycle, got: %s" (String.concat "; " (Checker.describe r))
 
 let suite =
   [
@@ -411,4 +529,6 @@ let suite =
     ("checker detects injected skew", `Quick, test_checker_detects_skew);
     ("checker flags short new_time", `Quick, test_checker_new_time_short);
     ("checker on empty trace", `Quick, test_checker_empty_trace);
+    test_checker_differential;
+    ("checker reports a write-skew cycle", `Quick, test_checker_reports_cycle);
   ]

@@ -1,5 +1,6 @@
 module Make (R : Ordo_runtime.Runtime_intf.S) (T : Ordo_core.Timestamp.S) = struct
   module Lock = Ordo_runtime.Mcs.Make (R)
+  module Kmerge = Ordo_util.Kmerge
 
   (* Per-core logs are chunked arenas, not cons lists: timestamps live in
      an unboxed int array and payloads beside them, so an append writes
@@ -82,38 +83,30 @@ module Make (R : Ordo_runtime.Runtime_intf.S) (T : Ordo_core.Timestamp.S) = stru
 
   (* The merged order is ascending (ts, core) — ties inside the
      uncertainty window resolve by core id, as in the original OpLog —
-     and equal stamps on one core apply in append order.  That is exactly
-     what the old stable [List.sort] over the concatenated logs produced:
-     cross-core key ties are impossible (the core id is in the key), so
-     only within-core order ever fell back to input order. *)
+     and equal stamps on one core apply in append order.  That is the
+     order of a stable sort by stamp of the core-major concatenation of
+     the logs (what the original list code did), so the merge keys each
+     entry by (ts, its position in that concatenation).
 
-  (* One drained core, presented oldest-entry-first. *)
-  let flatten d =
-    let chunks = Array.of_list (List.rev d.chunks) in
-    let n = Array.length chunks in
-    let total = if n = 0 then 0 else ((n - 1) * chunk_cap) + d.used in
-    (chunks, total)
-
-  (* Per-core timestamp sequences are ascending for any well-behaved
-     source ([T.after] returns something newer than its argument), but
+     Per-core stamp sequences are ascending for any well-behaved source
+     ([T.after] returns something newer than its argument), but
      [Timestamp.Raw] ignores its argument and reads the hardware clock,
-     which under a fault scenario can step backwards — so sortedness is a
-     property to check, not assume.  Sorted cores take the k-way merge;
-     any violation falls back to an index sort with the same order. *)
-  let core_sorted chunks total =
-    let ok = ref true in
-    let prev = ref min_int in
-    let i = ref 0 in
-    while !ok && !i < total do
-      let ts = chunks.(!i / chunk_cap).tss.(!i mod chunk_cap) in
-      (* Deliberate total order on the raw stamps — the merge reproduces
-         the old [List.sort] exactly, so a qualified integer compare, not
-         an uncertainty-aware one. *)
-      if Int.compare ts !prev < 0 then ok := false;
-      prev := ts;
-      incr i
-    done;
-    !ok
+     which under a fault scenario can step backwards — so sortedness is
+     a property to check, not assume.  Each chunk enters the merge as
+     one run per ascending stretch, cut wherever its stamp steps back.
+     Cuts and keys compare the raw stamps as plain ints, a deliberate
+     total order, not an uncertainty-aware [T.cmp]. *)
+
+  (* Slots [next, stop) of one chunk of [core]'s drained log; [base] is
+     the position of the chunk's slot 0 in the core-major concatenation. *)
+  type 'a run = {
+    core : int;
+    tss : int array;
+    ops : 'a array;
+    base : int;
+    mutable next : int;
+    stop : int;
+  }
 
   let synchronize t ~apply =
     Lock.with_lock t.lock @@ fun () ->
@@ -132,131 +125,42 @@ module Make (R : Ordo_runtime.Runtime_intf.S) (T : Ordo_core.Timestamp.S) = stru
       in
       drained.(core) <- R.exchange t.logs.(core) fresh
     done;
-    let flat = Array.map flatten drained in
-    let total = Array.fold_left (fun acc (_, n) -> acc + n) 0 flat in
-    let sorted =
-      let ok = ref true in
-      Array.iter (fun (chunks, n) -> if not (core_sorted chunks n) then ok := false) flat;
-      !ok
+    (* Each chunk's filled slots, cut wherever the stamp steps back. *)
+    let runs = ref [] and total = ref 0 in
+    let cut core (c : _ chunk) base len =
+      let stop = ref len in
+      for i = len - 1 downto 1 do
+        if c.tss.(i) < c.tss.(i - 1) then begin
+          runs := { core; tss = c.tss; ops = c.ops; base; next = i; stop = !stop } :: !runs;
+          stop := i
+        end
+      done;
+      runs := { core; tss = c.tss; ops = c.ops; base; next = 0; stop = !stop } :: !runs
     in
+    for core = 0 to k - 1 do
+      let d = drained.(core) in
+      let n = List.length d.chunks in
+      List.iteri
+        (fun newer c ->
+          let idx = n - 1 - newer in
+          cut core c (!total + (idx * chunk_cap)) (if newer = 0 then d.used else chunk_cap))
+        d.chunks;
+      if n > 0 then total := !total + ((n - 1) * chunk_cap) + d.used
+    done;
+    let total = !total in
     if total > 0 then begin
-      if sorted then begin
-        (* K-way merge over the per-core cursors via an index heap keyed
-           (ts, core): O(log k) int comparisons per entry, no per-entry
-           allocation, no re-sorting of what each core already ordered. *)
-        let hts = Array.make k 0 and hcore = Array.make k 0 in
-        let hn = ref 0 in
-        let cursor = Array.make k 0 in
-        let[@inline] ts_at core i =
-          let chunks, _ = flat.(core) in
-          chunks.(i / chunk_cap).tss.(i mod chunk_cap)
-        in
-        let sift_down () =
-          let i = ref 0 in
-          let continue = ref true in
-          while !continue do
-            let l = (2 * !i) + 1 in
-            if l >= !hn then continue := false
-            else begin
-              let s = ref l in
-              let r = l + 1 in
-              if
-                r < !hn
-                && (hts.(r) < hts.(l) || (hts.(r) = hts.(l) && hcore.(r) < hcore.(l)))
-              then s := r;
-              if
-                hts.(!s) < hts.(!i)
-                || (hts.(!s) = hts.(!i) && hcore.(!s) < hcore.(!i))
-              then begin
-                let tt = hts.(!i) and tc = hcore.(!i) in
-                hts.(!i) <- hts.(!s);
-                hcore.(!i) <- hcore.(!s);
-                hts.(!s) <- tt;
-                hcore.(!s) <- tc;
-                i := !s
-              end
-              else continue := false
-            end
-          done
-        in
-        for core = 0 to k - 1 do
-          let _, n = flat.(core) in
-          if n > 0 then begin
-            let ts = ts_at core 0 in
-            let i = ref !hn in
-            incr hn;
-            while
-              !i > 0
-              &&
-              let p = (!i - 1) / 2 in
-              let c = Int.compare ts hts.(p) in
-              c < 0 || (c = 0 && core < hcore.(p))
-            do
-              let p = (!i - 1) / 2 in
-              hts.(!i) <- hts.(p);
-              hcore.(!i) <- hcore.(p);
-              i := p
-            done;
-            hts.(!i) <- ts;
-            hcore.(!i) <- core
-          end
-        done;
-        while !hn > 0 do
-          let core = hcore.(0) in
-          let chunks, n = flat.(core) in
-          let i = cursor.(core) in
-          apply ~ts:hts.(0) ~core chunks.(i / chunk_cap).ops.(i mod chunk_cap);
-          let i = i + 1 in
-          cursor.(core) <- i;
-          if i < n then hts.(0) <- ts_at core i
-          else begin
-            decr hn;
-            hts.(0) <- hts.(!hn);
-            hcore.(0) <- hcore.(!hn)
-          end;
-          sift_down ()
-        done
-      end
-      else begin
-        (* Some core's stamps went backwards (clock-fault scenario):
-           materialize (ts, core, position) and sort indices with plain
-           int comparisons.  Position breaks only within-core key ties,
-           reproducing the stable sort's append-order behavior. *)
-        let ats = Array.make total 0 and acore = Array.make total 0 in
-        let pos = ref 0 in
-        Array.iteri
-          (fun core (chunks, n) ->
-            for i = 0 to n - 1 do
-              ats.(!pos) <- chunks.(i / chunk_cap).tss.(i mod chunk_cap);
-              acore.(!pos) <- core;
-              incr pos
-            done)
-          flat;
-        let idx = Array.init total (fun i -> i) in
-        Array.sort
-          (fun a b ->
-            let c = Int.compare ats.(a) ats.(b) in
-            if c <> 0 then c
-            else
-              let c = Int.compare acore.(a) acore.(b) in
-              if c <> 0 then c else Int.compare a b)
-          idx;
-        (* Per-core running offsets recover each index's chunk slot. *)
-        let base = Array.make k 0 in
-        let acc = ref 0 in
-        Array.iteri
-          (fun core (_, n) ->
-            base.(core) <- !acc;
-            acc := !acc + n)
-          flat;
-        Array.iter
-          (fun j ->
-            let core = acore.(j) in
-            let chunks, _ = flat.(core) in
-            let i = j - base.(core) in
-            apply ~ts:ats.(j) ~core chunks.(i / chunk_cap).ops.(i mod chunk_cap))
-          idx
-      end;
+      let runs = Array.of_list !runs in
+      let m = Kmerge.create (Array.length runs) in
+      Array.iteri (fun r run -> Kmerge.set m r run.tss.(run.next) (run.base + run.next)) runs;
+      let w = ref (Kmerge.start m) in
+      for _ = 1 to total do
+        let run = runs.(!w) in
+        let i = run.next in
+        apply ~ts:run.tss.(i) ~core:run.core run.ops.(i);
+        let i = i + 1 in
+        run.next <- i;
+        w := if i < run.stop then Kmerge.next m run.tss.(i) (run.base + i) else Kmerge.drop m
+      done;
       (* Recycle one empty chunk per core for the next cycle: the unused
          spare if the writers never consumed it, else the head chunk. *)
       for core = 0 to k - 1 do

@@ -19,6 +19,7 @@
      the rings wrap. *)
 
 module Stats = Ordo_util.Stats
+module Kmerge = Ordo_util.Kmerge
 
 type kind =
   | Transfer  (** a = line id, b = transfer class, c = cost in ns *)
@@ -311,91 +312,64 @@ let emit ~tid ~time kind ~a ~b ~c =
 
 (* ---- collection ---- *)
 
-(* Consecutive emissions [next, stop) of one tid, ascending by
-   (time, seq); emission [k] sits at ring slot [k mod capacity]. *)
+(* A slice [next, stop) of one ring's data array, in words ([stride] per
+   event), whose events ascend by (time, seq). *)
 type run = { rtid : int; data : int array; mutable next : int; stop : int }
 
-(* [seq] ascends along a ring, so a tid's retained window is one run
-   unless its times step back.  They do when a producer stamps an event
-   with another instant than its emitter's clock — the simulator emits
-   [Hazard] events at the hazard's instant under the target's tid — and
-   the window then splits into one more run per step back. *)
-let runs_of capacity tid (b : buf) acc =
-  let data = b.data in
-  let ascends i j =
-    data.(i + 1) < data.(j + 1) || (data.(i + 1) = data.(j + 1) && data.(i) < data.(j))
-  in
-  let acc = ref acc and start = ref (b.emitted - min b.emitted capacity) in
-  for k = !start + 1 to b.emitted - 1 do
-    if not (ascends ((k - 1) mod capacity * stride) (k mod capacity * stride)) then begin
-      acc := { rtid = tid; data; next = !start; stop = k } :: !acc;
-      start := k
-    end
+(* Cuts the slice [lo, hi) of a ring at every step back.  [seq] ascends
+   along a ring, so times are all that can step back.  They do when a
+   producer stamps an event with another instant than its emitter's clock
+   — the simulator emits [Hazard] events at the hazard's instant under the
+   target's tid. *)
+let cut rtid data lo hi acc =
+  let acc = ref acc and start = ref lo in
+  let i = ref (lo + stride) in
+  while !i < hi do
+    if data.(!i + 1) < data.(!i + 1 - stride) then begin
+      acc := { rtid; data; next = !start; stop = !i } :: !acc;
+      start := !i
+    end;
+    i := !i + stride
   done;
-  { rtid = tid; data; next = !start; stop = b.emitted } :: !acc
+  if hi > lo then { rtid; data; next = !start; stop = hi } :: !acc else !acc
 
-(* K-way merge of the runs through a binary index heap keyed by each
-   run's next (time, seq): O(log R) int compares per event for R runs,
-   straight into the output array. *)
-let merge capacity runs =
-  let total = Array.fold_left (fun acc r -> acc + r.stop - r.next) 0 runs in
+(* A tid's retained window, its last [capacity] emissions, as runs.  Once
+   the ring has wrapped, the window starts at the oldest slot and wraps
+   past the array's end, so it is two slices (one when the oldest slot is
+   slot 0). *)
+let runs_of capacity tid (b : buf) acc =
+  if b.emitted <= capacity then cut tid b.data 0 (b.emitted * stride) acc
+  else
+    let wrap = b.emitted mod capacity * stride in
+    cut tid b.data wrap (capacity * stride) acc |> cut tid b.data 0 wrap
+
+(* K-way merge of the runs through a loser tree keyed by each run's next
+   (time, seq), straight into the output array. *)
+let merge runs =
+  let total = Array.fold_left (fun acc r -> acc + ((r.stop - r.next) / stride)) 0 runs in
   let blank = { seq = 0; time = 0; tid = 0; kind = Transfer; a = 0; b = 0; c = 0 } in
   let events = Array.make total blank in
-  let hn = ref (Array.length runs) in
-  let hr = Array.init !hn Fun.id in
-  let htime = Array.make !hn 0 and hseq = Array.make !hn 0 in
-  let load h =
-    let r = runs.(hr.(h)) in
-    let i = r.next mod capacity * stride in
-    htime.(h) <- r.data.(i + 1);
-    hseq.(h) <- r.data.(i)
-  in
-  let lt x y = htime.(x) < htime.(y) || (htime.(x) = htime.(y) && hseq.(x) < hseq.(y)) in
-  let swap x y =
-    let r = hr.(x) and t = htime.(x) and q = hseq.(x) in
-    hr.(x) <- hr.(y);
-    htime.(x) <- htime.(y);
-    hseq.(x) <- hseq.(y);
-    hr.(y) <- r;
-    htime.(y) <- t;
-    hseq.(y) <- q
-  in
-  let rec sift_down h =
-    let l = (2 * h) + 1 in
-    if l < !hn then begin
-      let m = if l + 1 < !hn && lt (l + 1) l then l + 1 else l in
-      if lt m h then begin
-        swap m h;
-        sift_down m
-      end
-    end
-  in
-  for h = 0 to !hn - 1 do
-    load h
-  done;
-  for h = (!hn / 2) - 1 downto 0 do
-    sift_down h
-  done;
+  let m = Kmerge.create (Array.length runs) in
+  Array.iteri (fun k r -> Kmerge.set m k r.data.(r.next + 1) r.data.(r.next)) runs;
+  let w = ref (Kmerge.start m) in
   for n = 0 to total - 1 do
-    let r = runs.(hr.(0)) in
-    let i = r.next mod capacity * stride in
+    let r = runs.(!w) in
+    let data = r.data and i = r.next in
     events.(n) <-
       {
-        seq = r.data.(i);
-        time = r.data.(i + 1);
+        seq = data.(i);
+        time = data.(i + 1);
         tid = r.rtid;
-        kind = kind_of_code.(r.data.(i + 2));
-        a = r.data.(i + 3);
-        b = r.data.(i + 4);
-        c = r.data.(i + 5);
+        kind = kind_of_code.(data.(i + 2));
+        a = data.(i + 3);
+        b = data.(i + 4);
+        c = data.(i + 5);
       };
-    r.next <- r.next + 1;
-    if r.next < r.stop then load 0
-    else begin
-      decr hn;
-      swap 0 !hn
-    end;
-    sift_down 0
+    let i = i + stride in
+    r.next <- i;
+    w :=
+      if i < r.stop then Kmerge.next m data.(i + 1) data.(i)
+      else Kmerge.drop m
   done;
   events
 
@@ -413,7 +387,7 @@ let stop () =
           runs := runs_of s.capacity tid b !runs
         | _ -> ())
       s.bufs;
-    let events = merge s.capacity (Array.of_list !runs) in
+    let events = merge (Array.of_list !runs) in
     let cores =
       Array.to_list s.core_stats |> List.filter_map Fun.id
       |> List.sort (fun a b -> compare a.core b.core)

@@ -140,12 +140,13 @@ val stop : unit -> t
     retained events (its last [capacity] emissions), in ascending
     [(time, seq)] order.  [seq] is unique, so the order is total.
 
-    Each ring is read in place.  A ring whose times never step back is
-    already in that order, and the rings are k-way merged through an int
-    index heap: O(N log T) compares for N events from T rings.  A ring
-    whose times do step back (an event stamped with another instant than
-    its emitter's clock, like the simulator's [Hazard] events) enters
-    the merge as one ascending run per step back, so T counts those runs.
+    Each ring is read in place as contiguous slices of its data array,
+    each ascending by [(time, seq)]: one slice for a ring that has not
+    wrapped, two for one that has (one if its oldest slot is slot 0), and
+    one more wherever its times step back (an event stamped with another
+    instant than its emitter's clock, like the simulator's [Hazard]
+    events).  A loser tree ({!Ordo_util.Kmerge}) merges the R slices:
+    ceil(log2 R) compares per event, straight into [events].
     Raises [Invalid_argument] if not tracing. *)
 
 val emit : tid:int -> time:int -> kind -> a:int -> b:int -> c:int -> unit

@@ -158,8 +158,9 @@ let test_merge_matches_list_reference () =
 
 (* A deliberately non-monotone stamp source: [after] walks a fixed
    pseudo-random cycle, so per-core runs are NOT ascending and
-   [synchronize] must take its index-sort fallback (the old list code
-   sorted unconditionally, so its output shape is the same).  The small
+   [synchronize] must cut each core into one merge run per ascending
+   stretch (the old list code sorted unconditionally, so its output
+   shape is the same).  The small
    range forces cross-core stamp collisions, exercising both tie-break
    levels. *)
 module Jumpy : Ordo_core.Timestamp.S = struct
@@ -206,6 +207,49 @@ let test_merge_fallback_non_monotone_stamps () =
          out)
   in
   Alcotest.(check bool) "merge = stable sort of core-major list" true (out = reference)
+
+(* Each core's stamps come from a fixed script.  Core 0's steps back
+   twice, so it enters the merge as three stretches, and the stamp 20
+   appears in all three of them and on cores 1 and 2; core 1 repeats it
+   inside one stretch.  Core 0's last stretch repeats 20 past the end of
+   its first 256-entry chunk.  Equal stamps must apply by core, and on
+   one core in append order, whichever stretch or chunk they sit in. *)
+let test_merge_step_back_ties () =
+  let script =
+    [| Array.append [| 10; 20; 30; 20; 25; 10 |] (Array.make 300 20); [| 5; 20; 20; 40 |]; [| 15; 20; 35 |] |]
+  in
+  let next = Array.make (Array.length script) 0 in
+  let module Scripted = struct
+    let name = "scripted"
+    let boundary = 0
+    let get () = 0
+
+    let advance () =
+      let core = R.tid () in
+      next.(core) <- next.(core) + 1;
+      script.(core).(next.(core) - 1)
+
+    let after _ = advance ()
+    let cmp = Int.compare
+  end in
+  let module Log = Ordo_oplog.Oplog.Make (R) (Scripted) in
+  let threads = Array.length script in
+  let log = Log.create ~threads () in
+  ignore
+    (Sim.run skewed ~threads (fun i ->
+         for j = 0 to Array.length script.(i) - 1 do
+           Log.append log j
+         done));
+  let out = ref [] in
+  let n = Log.synchronize log ~apply:(fun ~ts ~core j -> out := (ts, core, j) :: !out) in
+  let expected =
+    List.concat (List.mapi (fun core s -> List.mapi (fun j ts -> (ts, core, j)) (Array.to_list s))
+       (Array.to_list script))
+    |> List.sort compare
+  in
+  Alcotest.(check int) "all entries applied" (List.length expected) n;
+  Alcotest.(check (list (triple int int int))) "applied in (ts, core, append order)" expected
+    (List.rev !out)
 
 (* ---- rmap ---- *)
 
@@ -387,6 +431,7 @@ let suite =
     ("merge total + per-core order", `Quick, test_merge_total_and_per_core_order);
     ("merge matches list reference", `Quick, test_merge_matches_list_reference);
     ("merge fallback on non-monotone stamps", `Quick, test_merge_fallback_non_monotone_stamps);
+    ("merge step-back ties", `Quick, test_merge_step_back_ties);
     ("rmap semantics", `Quick, test_rmap_semantics);
     ("rmap bulk ops", `Quick, test_rmap_bulk);
     ("rmap concurrent balance", `Quick, test_rmap_concurrent_balance);

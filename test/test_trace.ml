@@ -206,18 +206,36 @@ let step_gen =
   QCheck2.Gen.(
     map
       (fun (who, dt, kind, (pa, pb, pc)) -> { who; dt; kind; pa; pb; pc })
-      (quad (int_range 0 5) (int_range (-3) 4)
+      (quad (int_range 0 69) (int_range (-3) 4)
          (int_range 0 (Array.length kinds - 1))
          (triple (int_range 0 9) (int_range 0 (Trace.n_classes - 1)) (int_range 0 99))))
 
+(* Emissions that bring the first tid's count to a multiple of
+   [capacity], at least twice it: its ring wraps and its window then
+   starts exactly at slot 0. *)
+let pad_first_tid capacity tids steps =
+  let tids = Array.of_list tids in
+  let first = fst tids.(0) in
+  let n =
+    List.length (List.filter (fun s -> fst tids.(s.who mod Array.length tids) = first) steps)
+  in
+  let target = max (2 * capacity) ((n + capacity - 1) / capacity * capacity) in
+  steps @ List.init (target - n) (fun _ -> { who = 0; dt = 1; kind = 0; pa = 0; pb = 0; pc = 0 })
+
 (* A random emission program: ring capacity 1–64 (rings wrap), tables
-   pre-sized for 1–8 threads and up to six tids drawn from 0..200 (so
-   they grow), clocks starting in 0..8 (times tie across tids). *)
+   pre-sized for 1–8 threads, clocks starting in 0..8 (times tie across
+   tids).  Mostly up to six tids drawn from 0..200 (so the tables grow),
+   sometimes up to 70 from 0..300 (more than 64 runs to merge); in a
+   quarter of the programs the first tid's ring wraps exactly at slot 0. *)
 let program_gen =
   QCheck2.Gen.(
-    quad (int_range 1 64) (int_range 1 8)
-      (list_size (int_range 1 6) (pair (int_range 0 200) (int_range 0 8)))
-      (list_size (int_range 0 400) step_gen))
+    let tids n hi = list_size (int_range 1 n) (pair (int_range 0 hi) (int_range 0 8)) in
+    map
+      (fun (capacity, threads, (tids, steps), pad) ->
+        (capacity, threads, tids, if pad then pad_first_tid capacity tids steps else steps))
+      (quad (int_range 1 64) (int_range 1 8)
+         (pair (frequency [ (2, tids 6 200); (1, tids 70 300) ]) (list_size (int_range 0 400) step_gen))
+         (frequency [ (3, return false); (1, return true) ])))
 
 let print_program (capacity, threads, tids, steps) =
   Printf.sprintf "capacity %d, threads %d, tids [%s], %d steps: %s" capacity threads
@@ -232,7 +250,10 @@ let print_program (capacity, threads, tids, steps) =
    with the seq it must get (its index in the program), each tid keeps
    its last [capacity] emissions, and the survivors are sorted by
    (time, seq).  A probe whose tag id is a reserved guard tag's (ids
-   0–4) comes out as a guard. *)
+   0–4) comes out as a guard.  The per-core counters must add up to each
+   tid's emissions, cores ascending by id, and the per-line stats are
+   folded from the log and sorted by heat (transfer plus stall ns)
+   descending, then line id. *)
 let stop_matches_reference (capacity, threads, tids, steps) =
   let tids = Array.of_list tids in
   let clock = Array.map snd tids in
@@ -268,7 +289,37 @@ let stop_matches_reference (capacity, threads, tids, steps) =
       (fun (x : Trace.event) (y : Trace.event) -> compare (x.time, x.seq) (y.time, y.seq))
       kept
   in
-  Array.to_list t.Trace.events = expected && t.Trace.dropped = dropped
+  let cores =
+    Hashtbl.fold (fun tid es acc -> (tid, List.length es) :: acc) by_tid [] |> List.sort compare
+  in
+  let core_total (c : Trace.core_stat) =
+    Array.fold_left ( + ) 0 c.transfers + c.invalidations + c.stalls + c.clock_reads + c.pauses
+    + c.probes + c.hazards + c.guards
+  in
+  let lines = Hashtbl.create 8 in
+  List.iter
+    (fun (e : Trace.event) ->
+      let tr, inv, st, tns = Option.value ~default:(0, 0, 0, 0) (Hashtbl.find_opt lines e.a) in
+      match e.kind with
+      | Trace.Transfer -> Hashtbl.replace lines e.a (tr + 1, inv, st, tns + e.c)
+      | Trace.Invalidate -> Hashtbl.replace lines e.a (tr, inv + 1, st, tns)
+      | Trace.Rmw_stall -> Hashtbl.replace lines e.a (tr, inv, st + e.b, tns)
+      | _ -> ())
+    log;
+  let lines =
+    Hashtbl.fold (fun line (tr, inv, st, tns) acc -> (-(tns + st), line, tr, inv, st, tns) :: acc) lines []
+    |> List.sort compare
+    |> List.map (fun (_, line, tr, inv, st, tns) -> (line, tr, inv, st, tns))
+  in
+  Array.to_list t.Trace.events = expected
+  && t.Trace.dropped = dropped
+  && Array.to_list (Array.map (fun (c : Trace.core_stat) -> (c.core, core_total c)) t.Trace.cores)
+     = cores
+  && Array.to_list
+       (Array.map
+          (fun (l : Trace.line_stat) -> (l.line, l.transfers, l.invalidations, l.stall_ns, l.transfer_ns))
+          t.Trace.lines)
+     = lines
 
 let test_stop_differential =
   prop "stop = per-tid suffixes sorted by (time, seq)" ~count:500 ~print:print_program

@@ -1,10 +1,11 @@
 (* Unit and property tests for Ordo_util: PRNG, Zipf, statistics,
-   topology. *)
+   topology, k-way merge. *)
 
 module Rng = Ordo_util.Rng
 module Zipf = Ordo_util.Zipf
 module Stats = Ordo_util.Stats
 module Topology = Ordo_util.Topology
+module Kmerge = Ordo_util.Kmerge
 
 let check = Alcotest.check
 let qtest ?(count = 200) name gen prop = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -348,6 +349,69 @@ let test_topology_mapping_invariants =
           && (lane * Topology.physical_cores t) + p = thread)
         Topology.presets)
 
+(* ---- Kmerge ---- *)
+
+(* R runs, 0–300 of them (mostly 0–8), each 0–12 long, with [k1] drawn
+   from 0..15 so it repeats within a run and ties across runs.  [k2] is a
+   shuffle of 0..N-1 over all N entries, so the tie-break is not the run
+   index; each run is then sorted by (k1, k2). *)
+let kmerge_gen =
+  QCheck2.Gen.(
+    let k1s = list_size (int_range 0 12) (int_range 0 15) in
+    pair (list_size (frequency [ (2, int_range 0 8); (1, int_range 0 300) ]) k1s) int
+    |> map (fun (runs, seed) ->
+           let n = List.fold_left (fun acc r -> acc + List.length r) 0 runs in
+           let k2 = Array.init n Fun.id in
+           Rng.shuffle (Rng.create ~seed:(Int64.of_int seed) ()) k2;
+           let next = ref 0 in
+           List.map
+             (fun r ->
+               List.map
+                 (fun k1 ->
+                   incr next;
+                   (k1, k2.(!next - 1)))
+                 r
+               |> List.sort compare |> Array.of_list)
+             runs
+           |> Array.of_list))
+
+let kmerge runs =
+  let m = Kmerge.create (Array.length runs) in
+  let pos = Array.make (Array.length runs) 0 in
+  Array.iteri
+    (fun r run ->
+      if Array.length run > 0 then
+        let k1, k2 = run.(0) in
+        Kmerge.set m r k1 k2)
+    runs;
+  let total = Array.fold_left (fun acc run -> acc + Array.length run) 0 runs in
+  let w = ref (Kmerge.start m) and out = ref [] in
+  for _ = 1 to total do
+    let r = !w in
+    out := runs.(r).(pos.(r)) :: !out;
+    pos.(r) <- pos.(r) + 1;
+    w :=
+      if pos.(r) < Array.length runs.(r) then
+        let k1, k2 = runs.(r).(pos.(r)) in
+        Kmerge.next m k1 k2
+      else Kmerge.drop m
+  done;
+  List.rev !out
+
+let test_kmerge_sorts =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"kmerge = sort of the concatenated runs"
+       ~print:(fun runs ->
+         String.concat " | "
+           (Array.to_list
+              (Array.map
+                 (fun run ->
+                   String.concat " "
+                     (Array.to_list (Array.map (fun (a, b) -> Printf.sprintf "%d,%d" a b) run)))
+                 runs)))
+       kmerge_gen
+       (fun runs -> kmerge runs = List.sort compare (List.concat_map Array.to_list (Array.to_list runs))))
+
 let suite =
   [
     ("rng deterministic", `Quick, test_rng_deterministic);
@@ -378,4 +442,5 @@ let suite =
     ("topology presets", `Quick, test_topology_presets);
     ("topology numbering", `Quick, test_topology_numbering);
     test_topology_mapping_invariants;
+    test_kmerge_sorts;
   ]

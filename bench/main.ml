@@ -56,22 +56,24 @@ let experiments : (string * string * (full:bool -> unit)) list =
       Experiments.live );
   ]
 
-(* Engine single-thread before/after of this PR's fast-path work,
-   measured with identical standalone drivers (the [Perfprobe] workloads,
-   same run counts, thread placements and seeds) built at the baseline
-   commit and at this tree, interleaved run-for-run on the same host and
-   taking the best wall time across 4+ rounds.  Recorded as constants because
-   a live comparison would need the old binary around; the [--json]
-   record also carries this run's live probe numbers, which drift with
-   host load (~10% on this shared box). *)
-let baseline_commit = "a7d11d4"
+(* Engine single-thread before/after of the latest engine change (one
+   heap block per cell and its line), measured with identical standalone
+   drivers (the [Perfprobe] workloads, same run counts, thread placements
+   and seeds) built at the baseline commit and at this tree, interleaved
+   run-for-run on the same host, taking the best wall time across 7
+   rounds of 3 runs.  Recorded as constants because a live comparison
+   would need the old binary around; the [--json] record also carries
+   this run's live probe numbers, which drift with host load (~10% on
+   this shared box). *)
+let baseline_commit = "841d3c8"
 
 (* (name, baseline events/s, optimized events/s) *)
 let recorded_engine : (string * float * float) list =
   [
-    ("rmw", 5_983_618., 6_713_705.);
-    ("shared", 5_403_516., 12_953_421.);
-    ("sched", 6_980_650., 12_010_686.);
+    ("rmw", 4_727_161., 4_847_555.);
+    ("shared", 8_269_444., 7_990_115.);
+    ("sched", 6_750_671., 7_821_761.);
+    ("lines", 2_024_353., 3_172_933.);
   ]
 
 let json_escape s =
@@ -125,7 +127,7 @@ let write_json path ~jobs ~full ~probes records total_wall total_events =
   p "      \"baseline_commit\": \"%s\",\n" baseline_commit;
   p
     "      \"method\": \"identical standalone probe drivers at the baseline commit and this \
-     tree, interleaved on one host, best wall across 4+ rounds\",\n";
+     tree, interleaved on one host, best wall across 7 rounds of 3 runs\",\n";
   p "      \"profiles\": [\n";
   List.iteri
     (fun i (name, base, opt) ->

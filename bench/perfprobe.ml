@@ -1,5 +1,5 @@
 (* Single-thread engine throughput probes, recorded in the --json perf
-   record.  Three profiles stress the simulator's distinct hot paths:
+   record.  Four profiles stress the simulator's distinct hot paths:
 
    - [rmw]    contended fetch-add on one line (exclusive-completion path,
               RNG-jittered private work): the logical-clock bottleneck.
@@ -8,6 +8,11 @@
               in the event queue).
    - [sched]  private lines only (read/write/work): pure scheduler and
               event-queue overhead.
+   - [lines]  random reads and writes by 120 threads over 200 k lines,
+              half of them used only by threads at or above
+              [Sharers.small_limit] (big-mode sharer sets): the one probe
+              whose cost is the cell layout, since almost every access
+              misses a line far out of cache.
 
    Each profile runs under a fresh simulator instance so the numbers are
    independent of whatever the harness ran before.  Event counts are
@@ -78,7 +83,22 @@ let sched () =
   done;
   !total
 
-let profiles = [ ("rmw", rmw); ("shared", shared); ("sched", sched) ]
+let lines () =
+  let half = 100_000 in
+  let cells = Array.init (2 * half) R.cell in
+  let s =
+    Sim.run Machine.xeon ~threads:120 (fun i ->
+        let rng = Rng.create ~seed:(Int64.of_int (i + 1)) () in
+        let base = if i >= Ordo_sim.Sharers.small_limit then half else 0 in
+        while R.now () < 400_000 do
+          let c = cells.(base + Rng.int rng half) in
+          if Rng.int rng 4 = 0 then R.write c i else ignore (R.read c : int);
+          R.work 20
+        done)
+  in
+  s.Ordo_sim.Engine.events
+
+let profiles = [ ("rmw", rmw); ("shared", shared); ("sched", sched); ("lines", lines) ]
 
 (* Each profile is timed [repetitions] times and the minimum wall time is
    kept — the standard way to strip scheduler and frequency noise from a

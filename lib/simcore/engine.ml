@@ -7,15 +7,17 @@ module Race = Ordo_analyze.Race
    always positive and a zero timestamp can mean "unset". *)
 let clock_epoch = 1_000_000_000_000
 
-type line = {
+(* A cell is its simulated cache line: the value and the line's state in
+   one heap block, so every operation reaches the line with one load. *)
+type 'a cell = {
+  mutable v : 'a;
   lid : int;  (* stable id, for trace attribution *)
   mutable owner : int;  (* hardware thread holding the line exclusively, -1 = memory *)
   mutable free_at : int;  (* virtual time at which the line accepts the next RMW/store *)
-  sharers : Sharers.t;  (* threads with a valid shared copy; immediate int <= 63 hw threads *)
   mutable epoch : int;  (* run id of the last access; stale lines reset lazily *)
+  mutable small : int;  (* sharer bitmap while every sharer id is below [Sharers.small_limit] *)
+  mutable big : Bytes.t;  (* sharer bitmap once one is not; [Bytes.empty] until then *)
 }
-
-type 'a cell = { mutable v : 'a; line : line }
 
 (* A queued event is just a thread record: the parked fiber's continuation
    and resume value are stored in the record itself ([ev_k]/[ev_v], via
@@ -124,48 +126,49 @@ let in_simulation () = (instance ()).running <> None
 
 (* ---- hot-path sharer operations ----
 
-   Manually inlined over the representation [Sharers.t] exposes for this
-   purpose: without flambda, a cross-module call per simulated cache event
-   would cost more than the bit test it performs.  Only the fast cases
-   live here; migration and buffer growth go through [Sharers.add]. *)
+   Manually inlined over the cell's [small]/[big] fields: without flambda,
+   a cross-module call per simulated cache event would cost more than the
+   bit test it performs.  Only the fast cases live here; migration and
+   buffer growth go through [Sharers]. *)
 
-let[@inline] sharer_mem (s : Sharers.t) tid =
-  let big = s.Sharers.big in
-  if big == Bytes.empty then
-    tid < Sharers.small_limit && s.Sharers.small land (1 lsl tid) <> 0
+let[@inline] sharer_mem c tid =
+  let big = c.big in
+  if big == Bytes.empty then tid < Sharers.small_limit && c.small land (1 lsl tid) <> 0
   else
     let byte = tid lsr 3 in
     byte < Bytes.length big
     && Char.code (Bytes.unsafe_get big byte) land (1 lsl (tid land 7)) <> 0
 
-let[@inline] sharer_add (s : Sharers.t) tid =
-  let big = s.Sharers.big in
+let[@inline] sharer_add c tid =
+  let big = c.big in
   if big == Bytes.empty then begin
-    if tid < Sharers.small_limit then s.Sharers.small <- s.Sharers.small lor (1 lsl tid)
-    else Sharers.add s tid (* migrate *)
+    if tid < Sharers.small_limit then c.small <- c.small lor (1 lsl tid)
+    else begin
+      c.big <- Sharers.migrate c.small tid;
+      c.small <- 0
+    end
   end
   else begin
     let byte = tid lsr 3 in
     if byte < Bytes.length big then
       Bytes.unsafe_set big byte
         (Char.unsafe_chr (Char.code (Bytes.unsafe_get big byte) lor (1 lsl (tid land 7))))
-    else Sharers.add s tid (* grow *)
+    else c.big <- Sharers.add_big big tid (* grow *)
   end
 
-let[@inline] sharer_clear (s : Sharers.t) =
-  let big = s.Sharers.big in
-  if big == Bytes.empty then s.Sharers.small <- 0
-  else Bytes.fill big 0 (Bytes.length big) '\000'
+let[@inline] sharer_clear c =
+  let big = c.big in
+  if big == Bytes.empty then c.small <- 0 else Sharers.clear_big big
 
-let[@inline] sharer_is_empty (s : Sharers.t) =
-  if s.Sharers.big == Bytes.empty then s.Sharers.small = 0 else Sharers.is_empty s
+let[@inline] sharer_is_empty c =
+  if c.big == Bytes.empty then c.small = 0 else Sharers.is_empty c.small c.big
 
-let[@inline] touch eng (line : line) =
-  if line.epoch <> eng.epoch then begin
-    line.epoch <- eng.epoch;
-    line.owner <- -1;
-    line.free_at <- 0;
-    sharer_clear line.sharers
+let[@inline] touch eng (c : _ cell) =
+  if c.epoch <> eng.epoch then begin
+    c.epoch <- eng.epoch;
+    c.owner <- -1;
+    c.free_at <- 0;
+    sharer_clear c
   end
 
 (* ---- the one effect ----
@@ -185,19 +188,9 @@ type _ Effect.t += E_resume : 'a -> 'a Effect.t
 let cell v =
   let inst = instance () in
   inst.line_counter <- inst.line_counter + 1;
-  {
-    v;
-    line =
-      {
-        lid = inst.line_counter;
-        owner = -1;
-        free_at = 0;
-        sharers = Sharers.create ();
-        epoch = 0;
-      };
-  }
+  { v; lid = inst.line_counter; owner = -1; free_at = 0; epoch = 0; small = 0; big = Bytes.empty }
 
-let line_id c = c.line.lid
+let line_id c = c.lid
 
 (* The earliest queued event: a thread must not run past it directly.
    [Equeue.next_time] is allocation-free — this check runs once per
@@ -259,50 +252,45 @@ let clock_value eng th completion =
 let noise eng =
   let m = eng.machine in
   if m.Machine.noise_prob > 0.0 && Rng.chance eng.rng m.Machine.noise_prob then
-    int_of_float (Rng.exponential eng.rng m.Machine.noise_mean_ns)
+    Rng.exponential_int eng.rng m.Machine.noise_mean_ns
   else 0
 
-(* Completion time of a load.  A hit (owned or validly shared) costs
-   [l1_ns]; a miss must wait for any in-flight exclusive operation on the
-   line ([free_at]) and then pay the transfer — this is what makes the
-   remote-write → local-read handoff of the offset measurement cost a full
-   one-way delay, as on real coherence hardware. *)
 (* Completion time of a load miss: wait for any in-flight exclusive
    operation on the line ([free_at]), then pay the transfer — this is what
    makes the remote-write → local-read handoff of the offset measurement
    cost a full one-way delay, as on real coherence hardware.  The hit case
    (owned or validly shared: [l1_ns]) is inlined at the call site in
    [read], where it is the hottest path of a read-mostly simulation. *)
-let read_miss eng th line =
+let read_miss eng th c =
   let m = eng.machine in
   let cls, cost =
-    if line.owner < 0 then (Trace.cls_mem, m.Machine.mem_ns)
+    if c.owner < 0 then (Trace.cls_mem, m.Machine.mem_ns)
     else
-      let req = locate eng th.id and own = locate eng line.owner in
+      let req = locate eng th.id and own = locate eng c.owner in
       (Machine.transfer_class m req own, Machine.transfer_ns m req own)
   in
-  sharer_add line.sharers th.id;
-  let start = Int.max th.time line.free_at in
+  sharer_add c th.id;
+  let start = Int.max th.time c.free_at in
   (* Misses are pipelined through the line's directory slot: each one
      occupies it briefly, so a storm of misses on a hot line serializes. *)
-  line.free_at <- start + m.Machine.read_service_ns;
+  c.free_at <- start + m.Machine.read_service_ns;
   if eng.trace then
-    Trace.emit ~tid:th.id ~time:(start + cost) Trace.Transfer ~a:line.lid ~b:cls ~c:cost;
+    Trace.emit ~tid:th.id ~time:(start + cost) Trace.Transfer ~a:c.lid ~b:cls ~c:cost;
   start + cost
 
 (* A store or RMW: wait for the line, pull it over, invalidate sharers.
    RMWs on a hot line therefore serialize — the logical-clock bottleneck. *)
-let exclusive_completion eng th line ~exec_ns =
-  touch eng line;
+let exclusive_completion eng th c ~exec_ns =
+  touch eng c;
   let m = eng.machine in
-  let start = Int.max th.time line.free_at in
+  let start = Int.max th.time c.free_at in
   let cls, transfer =
-    if line.owner = th.id then
-      if not (sharer_is_empty line.sharers) then (Trace.cls_llc, m.Machine.llc_ns)
+    if c.owner = th.id then
+      if not (sharer_is_empty c) then (Trace.cls_llc, m.Machine.llc_ns)
       else (Trace.cls_l1, m.Machine.l1_ns)
-    else if line.owner < 0 then (Trace.cls_mem, m.Machine.mem_ns)
+    else if c.owner < 0 then (Trace.cls_mem, m.Machine.mem_ns)
     else
-      let req = locate eng th.id and own = locate eng line.owner in
+      let req = locate eng th.id and own = locate eng c.owner in
       (Machine.transfer_class m req own, Machine.transfer_ns m req own)
   in
   let completion = start + transfer + exec_ns + noise eng in
@@ -311,19 +299,19 @@ let exclusive_completion eng th line ~exec_ns =
   if eng.trace then begin
     let wait = start - th.time in
     if wait > 0 then
-      Trace.emit ~tid:th.id ~time:start Trace.Rmw_stall ~a:line.lid ~b:wait ~c:0;
+      Trace.emit ~tid:th.id ~time:start Trace.Rmw_stall ~a:c.lid ~b:wait ~c:0;
     let copies =
-      Sharers.count line.sharers
-      - (if Sharers.mem line.sharers th.id then 1 else 0)
-      + (if line.owner >= 0 && line.owner <> th.id then 1 else 0)
+      Sharers.count c.small c.big
+      - (if sharer_mem c th.id then 1 else 0)
+      + (if c.owner >= 0 && c.owner <> th.id then 1 else 0)
     in
     if copies > 0 then
-      Trace.emit ~tid:th.id ~time:(start + transfer) Trace.Invalidate ~a:line.lid ~b:copies ~c:0;
-    Trace.emit ~tid:th.id ~time:(start + transfer) Trace.Transfer ~a:line.lid ~b:cls ~c:transfer
+      Trace.emit ~tid:th.id ~time:(start + transfer) Trace.Invalidate ~a:c.lid ~b:copies ~c:0;
+    Trace.emit ~tid:th.id ~time:(start + transfer) Trace.Transfer ~a:c.lid ~b:cls ~c:transfer
   end;
-  line.free_at <- completion;
-  line.owner <- th.id;
-  sharer_clear line.sharers;
+  c.free_at <- completion;
+  c.owner <- th.id;
+  sharer_clear c;
   completion
 
 (* SMT scaling is the identity when the thread has its core to itself —
@@ -340,14 +328,12 @@ let read c =
   | Some eng ->
     let th = eng.cur in
     offline_release eng th;
-    let line = c.line in
-    touch eng line;
+    touch eng c;
     let completion =
-      if line.owner = th.id || sharer_mem line.sharers th.id then
-        th.time + eng.machine.Machine.l1_ns
-      else read_miss eng th line
+      if c.owner = th.id || sharer_mem c th.id then th.time + eng.machine.Machine.l1_ns
+      else read_miss eng th c
     in
-    if eng.analyze then Race.on_read ~tid:th.id ~line:line.lid ~time:completion;
+    if eng.analyze then Race.on_read ~tid:th.id ~line:c.lid ~time:completion;
     finish eng th c.v completion
 
 let write c x =
@@ -357,10 +343,10 @@ let write c x =
     let th = eng.cur in
     offline_release eng th;
     let completion =
-      exclusive_completion eng th c.line ~exec_ns:eng.machine.Machine.store_ns
+      exclusive_completion eng th c ~exec_ns:eng.machine.Machine.store_ns
     in
     c.v <- x;
-    if eng.analyze then Race.on_write ~tid:th.id ~line:c.line.lid ~time:completion;
+    if eng.analyze then Race.on_write ~tid:th.id ~line:c.lid ~time:completion;
     finish eng th () completion
 
 let cas c expected desired =
@@ -373,7 +359,7 @@ let cas c expected desired =
     let th = eng.cur in
     offline_release eng th;
     let completion =
-      exclusive_completion eng th c.line ~exec_ns:eng.machine.Machine.atomic_ns
+      exclusive_completion eng th c ~exec_ns:eng.machine.Machine.atomic_ns
     in
     let ok = c.v == expected in
     if ok then c.v <- desired;
@@ -382,8 +368,8 @@ let cas c expected desired =
        winner's subsequent plain store would appear to race with the
        loser's failed attempt. *)
     if eng.analyze then
-      if ok then Race.on_rmw ~tid:th.id ~line:c.line.lid ~time:completion
-      else Race.on_read ~tid:th.id ~line:c.line.lid ~time:completion;
+      if ok then Race.on_rmw ~tid:th.id ~line:c.lid ~time:completion
+      else Race.on_read ~tid:th.id ~line:c.lid ~time:completion;
     finish eng th ok completion
 
 let fetch_add c n =
@@ -396,11 +382,11 @@ let fetch_add c n =
     let th = eng.cur in
     offline_release eng th;
     let completion =
-      exclusive_completion eng th c.line ~exec_ns:eng.machine.Machine.atomic_ns
+      exclusive_completion eng th c ~exec_ns:eng.machine.Machine.atomic_ns
     in
     let old = c.v in
     c.v <- old + n;
-    if eng.analyze then Race.on_rmw ~tid:th.id ~line:c.line.lid ~time:completion;
+    if eng.analyze then Race.on_rmw ~tid:th.id ~line:c.lid ~time:completion;
     finish eng th old completion
 
 let exchange c x =
@@ -413,11 +399,11 @@ let exchange c x =
     let th = eng.cur in
     offline_release eng th;
     let completion =
-      exclusive_completion eng th c.line ~exec_ns:eng.machine.Machine.atomic_ns
+      exclusive_completion eng th c ~exec_ns:eng.machine.Machine.atomic_ns
     in
     let old = c.v in
     c.v <- x;
-    if eng.analyze then Race.on_rmw ~tid:th.id ~line:c.line.lid ~time:completion;
+    if eng.analyze then Race.on_rmw ~tid:th.id ~line:c.lid ~time:completion;
     finish eng th old completion
 
 let get_time () =

@@ -6,14 +6,15 @@
     instant in virtual time.  A single event queue ordered by
     [(time, sequence)] makes runs fully deterministic.
 
-    Cache-line model: a {!cell} owns one line.  The line remembers its
-    current exclusive owner, the set of threads holding a valid shared
-    copy, and the virtual time until which it is busy.  Loads by a holder
-    cost [l1_ns]; other loads pay a transfer and join the sharers.  Stores
-    and RMWs wait for the line to be free, pay transfer + execution cost,
-    take ownership, and invalidate all sharers — RMWs on a hot line
-    therefore serialize, which is precisely the logical-clock bottleneck
-    the paper attacks.
+    Cache-line model: a {!cell} is one line.  The cell holds its value
+    and, in the same heap block, the line state: the current exclusive
+    owner, the set of threads holding a valid shared copy (an adaptive
+    bitmap, see {!Sharers}), and the virtual time until which the line is
+    busy.  Loads by a holder cost [l1_ns]; other loads pay a transfer and
+    join the sharers.  Stores and RMWs wait for the line to be free, pay
+    transfer + execution cost, take ownership, and invalidate all sharers
+    — RMWs on a hot line therefore serialize, which is precisely the
+    logical-clock bottleneck the paper attacks.
 
     All previously process-global engine state (the running engine, the
     continuous timeline, the line-id allocator) lives in an {!Instance.i}.

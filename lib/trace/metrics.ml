@@ -42,8 +42,9 @@ let totals (t : Trace.t) =
 
 let transfers_total (c : Trace.core_stat) = Array.fold_left ( + ) 0 c.transfers
 
+(* [t.lines] is already hottest first: list only the prefix. *)
 let hottest ?(n = 5) (t : Trace.t) =
-  Array.to_list t.lines |> List.filteri (fun i _ -> i < n)
+  Array.to_list (Array.sub t.lines 0 (Int.min (Int.max n 0) (Array.length t.lines)))
 
 (* ---- tables ---- *)
 

@@ -111,7 +111,7 @@ let int t bound =
 
 let int_in t lo hi = lo + int t (hi - lo + 1)
 
-let float t bound =
+let[@inline] float t bound =
   step t;
   (* Top 53 bits of the raw output, as before (result >>> 11). *)
   let bits = (t.rh lsl 21) lor (t.rl lsr 11) in
@@ -128,10 +128,14 @@ let chance t p =
   let bits = (t.rh lsl 21) lor (t.rl lsr 11) in
   float_of_int bits /. 9007199254740992.0 < p
 
-let exponential t mean =
+let[@inline] exponential t mean =
   let u = float t 1.0 in
   let u = if u <= 0.0 then 1e-12 else u in
   -.mean *. log u
+
+(* The float stays unboxed inside this module, so a caller that wants
+   whole nanoseconds gets them without a boxed float per draw. *)
+let exponential_int t mean = int_of_float (exponential t mean)
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -39,5 +39,8 @@ val chance : t -> float -> bool
 val exponential : t -> float -> float
 (** [exponential t mean] samples an exponential distribution. *)
 
+val exponential_int : t -> float -> int
+(** [int_of_float (exponential t mean)], allocation-free. *)
+
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

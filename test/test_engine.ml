@@ -296,6 +296,38 @@ let test_big_sharers_across_runs () =
          done));
   Alcotest.(check int) "counts exact after re-clear" (42 + 400) (R.read c)
 
+(* The cell is the line: after its first touch, a hit reads and writes
+   only the cell's own fields.  One thread runs alone, so it never parks.
+   Each of 10 k rounds reads line [a] as a sharer (no thread owns it), and
+   reads and writes line [b] as its owner; none may allocate — with
+   small-mode sharer sets (hw 0) and with big-mode ones (hw 100 migrates
+   both sets on its first misses).  A temporary sharer record on the hot
+   path would show up here as words per operation. *)
+let test_hits_allocate_nothing () =
+  let words hw =
+    let a = R.cell 0 and b = R.cell 0 and delta = ref nan in
+    ignore
+      (Sim.run_on Machine.xeon
+         [
+           ( hw,
+             fun () ->
+               ignore (R.read a : int);
+               ignore (R.read b : int);
+               R.write b 0;
+               let w0 = Gc.minor_words () in
+               for i = 1 to 10_000 do
+                 ignore (R.read a : int);
+                 ignore (R.read b : int);
+                 R.write b i
+               done;
+               delta := Gc.minor_words () -. w0 );
+         ]);
+    Alcotest.(check int) "all writes landed" 10_000 (R.read b);
+    !delta
+  in
+  Alcotest.(check (float 0.0)) "small-mode lines, hw 0" 0.0 (words 0);
+  Alcotest.(check (float 0.0)) "big-mode lines, hw 100" 0.0 (words 100)
+
 let suite =
   [
     ("outside-sim direct ops", `Quick, test_outside_sim_direct);
@@ -313,6 +345,7 @@ let suite =
     ("smt slowdown", `Quick, test_smt_slowdown);
     ("lines reset between runs", `Quick, test_lines_reset_between_runs);
     ("big sharer set across runs", `Quick, test_big_sharers_across_runs);
+    ("line hits allocate nothing", `Quick, test_hits_allocate_nothing);
     ("reader waits for writer", `Quick, test_reader_waits_for_writer);
     ("run validation", `Quick, test_run_validation);
     ("machine presets sane", `Quick, test_machine_presets);

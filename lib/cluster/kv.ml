@@ -428,7 +428,7 @@ let run ~boundary (spec : Net.Spec.t) (cfg : config) =
     bufn.(dest) <- bufn.(dest) + 1;
     if bufn.(dest) >= cfg.batch then flush dest
   in
-  let gap () = max 1 (int_of_float (Rng.exponential arr_rng (float_of_int cfg.arrival_ns))) in
+  let gap () = max 1 (Rng.exponential_int arr_rng (float_of_int cfg.arrival_ns)) in
   let rec arrive () =
     gen_txn ();
     let g = gap () in

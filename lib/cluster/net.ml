@@ -16,6 +16,11 @@
    skewed clocks as protocol code reading {!clock}: the composed boundary
    measured over messages covers both.
 
+   Events.  A queued event is one heap block: a delivery carries its
+   message ([Deliver]), a timer its thunk ([Timer]), so a send allocates
+   one record and no closure.  Links are a matrix of per-link records
+   built in [create], with the spec's overrides resolved once.
+
    Busy nodes.  A node charged with {!busy} occupancy defers the events
    that reach it.  They wait in the node's FIFO inbox, represented in the
    heap by a single wake entry, and run in exactly the order the simplest
@@ -179,12 +184,17 @@ module Spec = struct
     { t with overrides = [ ((1, 0), slow) ] }
 end
 
-(* One delivery or timer for [node], live while the node is on
-   incarnation [inc].  A node's wake is the same record with [inc =
-   wake_inc], so the heap payload stays one record and costs no boxing. *)
-type pend = { node : int; inc : int; fn : unit -> unit }
+(* One event for [node], live while the node is on incarnation [inc]: a
+   message delivery or a timer.  Each is a single heap block; a delivery
+   carries its message, not a closure over it.  A node's wake is a timer
+   with [inc = wake_inc]. *)
+type 'm ev =
+  | Deliver of { node : int; inc : int; src : int; id : int; msg : 'm }
+  | Timer of { node : int; inc : int; fn : unit -> unit }
 
 let wake_inc = -1
+let ev_node = function Deliver d -> d.node | Timer t -> t.node
+let ev_inc = function Deliver d -> d.inc | Timer t -> t.inc
 
 (* FIFO ring of the events deferred behind one busy node, each with the
    [(time, seq)] key its re-push would have had.  Keys ascend from head to
@@ -193,8 +203,8 @@ let wake_inc = -1
    i counted from the head, and their [times]/[seqs] slots are stale: a
    whole busy period's re-stamps are written once, as a run ([settle]).
    [wake] doubles as the filler of vacated slots. *)
-type inbox = {
-  mutable evs : pend array;
+type 'm inbox = {
+  mutable evs : 'm ev array;
   mutable times : int array;
   mutable seqs : int array;
   mutable head : int;
@@ -202,7 +212,7 @@ type inbox = {
   mutable run_t : int;
   mutable run_b : int;
   mutable run_n : int;
-  wake : pend;
+  wake : 'm ev;
 }
 
 (* Key of the [k]-th waiting event, counted from the head. *)
@@ -247,23 +257,33 @@ let inbox_take ib =
   end;
   ev
 
-type node = {
+type 'm node = {
   inst : Engine.Instance.i;
   machine : Machine.t;  (* node clock offset folded into reset_ns *)
   mutable busy_until : int;
   mutable alive : bool;
   mutable incarnation : int;  (* bumped by kill: pre-death events never reach a restart *)
-  inbox : inbox;
+  inbox : 'm inbox;
+}
+
+(* One directed link: its parameters, its latency generator and, for a
+   FIFO link, the last arrival it scheduled.  [jitter_mean] is the float
+   form of [jitter_ns], kept boxed here so a draw passes it without
+   boxing a fresh one. *)
+type link = {
+  l : Spec.link;
+  jitter_mean : float;
+  rng : Rng.t;
+  mutable last_arrival : int;
 }
 
 type 'm t = {
   spec : Spec.t;
   offsets : int array;
-  node_tbl : node array;
-  q : pend Heap.t;
+  node_tbl : 'm node array;
+  q : 'm ev Heap.t;
   mutable handler : int -> int -> 'm -> unit;
-  link_rng : Rng.t array array;
-  last_arrival : int array array;
+  links : link array array;  (* [src].(dst) *)
   mutable now_ : int;
   mutable sent_ : int;
   mutable delivered_ : int;
@@ -307,19 +327,30 @@ let create (spec : Spec.t) =
               run_t = 0;
               run_b = 0;
               run_n = 0;
-              wake = { node = i; inc = wake_inc; fn = ignore };
+              wake = Timer { node = i; inc = wake_inc; fn = ignore };
             };
         })
   in
   (* One generator per directed link, derived from the spec seed and the
      link's identity only, so latency draws are independent of the global
      interleaving of sends. *)
-  let link_rng =
+  let links =
     Array.init n (fun i ->
         Array.init n (fun j ->
-            Rng.create
-              ~seed:(Int64.add spec.Spec.seed (Int64.of_int (((i * n) + j + 1) * 0x9E3779B9)))
-              ()))
+            let l =
+              match List.assoc_opt (i, j) spec.Spec.overrides with
+              | Some l -> l
+              | None -> spec.Spec.link
+            in
+            {
+              l;
+              jitter_mean = float_of_int l.Spec.jitter_ns;
+              rng =
+                Rng.create
+                  ~seed:(Int64.add spec.Spec.seed (Int64.of_int (((i * n) + j + 1) * 0x9E3779B9)))
+                  ();
+              last_arrival = min_int;
+            }))
   in
   {
     spec;
@@ -327,8 +358,7 @@ let create (spec : Spec.t) =
     node_tbl;
     q = Heap.create ();
     handler = (fun _ _ _ -> ());
-    link_rng;
-    last_arrival = Array.make_matrix n n min_int;
+    links;
     now_ = 0;
     sent_ = 0;
     delivered_ = 0;
@@ -349,10 +379,6 @@ let offset_truth t n = t.offsets.(n)
 let node_machine t n = t.node_tbl.(n).machine
 let on_message t f = t.handler <- f
 
-let link t src dst =
-  match List.assoc_opt (src, dst) t.spec.Spec.overrides with
-  | Some l -> l
-  | None -> t.spec.Spec.link
 
 (* Node reference clock: cluster time on the node's clock scale (its
    core-0 invariant clock).  Cross-node differences of [clock] are exactly
@@ -407,23 +433,21 @@ let revive t n =
 let at t ~node ~delay fn =
   check_node t node "at";
   if delay < 0 then invalid_arg "Net.at: negative delay";
-  Heap.push t.q ~time:(t.now_ + delay) { node; inc = t.node_tbl.(node).incarnation; fn }
+  Heap.push t.q ~time:(t.now_ + delay) (Timer { node; inc = t.node_tbl.(node).incarnation; fn })
 
 let send t ~src ~dst m =
   check_node t src "send";
   check_node t dst "send";
-  let l = link t src dst in
-  let jitter =
-    if l.Spec.jitter_ns = 0 then 0
-    else int_of_float (Rng.exponential t.link_rng.(src).(dst) (float_of_int l.Spec.jitter_ns))
-  in
+  let lk = t.links.(src).(dst) in
+  let l = lk.l in
+  let jitter = if l.Spec.jitter_ns = 0 then 0 else Rng.exponential_int lk.rng lk.jitter_mean in
   let flight = l.Spec.overhead_ns + l.Spec.base_ns + jitter in
   let arrive =
     match l.Spec.mode with
     | Spec.Reorder -> t.now_ + flight
     | Spec.Fifo ->
-      let a = Int.max (t.now_ + flight) (t.last_arrival.(src).(dst) + 1) in
-      t.last_arrival.(src).(dst) <- a;
+      let a = Int.max (t.now_ + flight) (lk.last_arrival + 1) in
+      lk.last_arrival <- a;
       a
   in
   t.sent_ <- t.sent_ + 1;
@@ -431,17 +455,15 @@ let send t ~src ~dst m =
   if Trace.enabled () then
     Trace.emit ~tid:src ~time:t.now_ Trace.Probe ~a:(Trace.intern "net.send") ~b:dst ~c:id;
   Heap.push t.q ~time:arrive
-    {
-      node = dst;
-      inc = t.node_tbl.(dst).incarnation;
-      fn =
-        (fun () ->
-          t.delivered_ <- t.delivered_ + 1;
-          if Trace.enabled () then
-            Trace.emit ~tid:dst ~time:t.now_ Trace.Probe ~a:(Trace.intern "net.recv") ~b:src
-              ~c:id;
-          t.handler src dst m);
-    }
+    (Deliver { node = dst; inc = t.node_tbl.(dst).incarnation; src; id; msg = m })
+
+let fire t = function
+  | Timer { fn; _ } -> fn ()
+  | Deliver { node; src; id; msg; _ } ->
+    t.delivered_ <- t.delivered_ + 1;
+    if Trace.enabled () then
+      Trace.emit ~tid:node ~time:t.now_ Trace.Probe ~a:(Trace.intern "net.recv") ~b:src ~c:id;
+    t.handler src node msg
 
 let busy t n ns =
   check_node t n "busy";
@@ -522,19 +544,20 @@ let step t =
     let time = Heap.next_time t.q and seq = Heap.min_seq t.q in
     let ev = Heap.pop_exn t.q in
     t.pops_ <- t.pops_ + 1;
-    let nd = t.node_tbl.(ev.node) in
+    let nd = t.node_tbl.(ev_node ev) in
     let ib = nd.inbox in
-    if ev.inc = wake_inc then begin
+    let inc = ev_inc ev in
+    if inc = wake_inc then begin
       if ib.len > 0 && key_seq ib 0 = seq then begin
         if nd.busy_until <= time then begin
           let head = inbox_take ib in
           if time > t.now_ then t.now_ <- time;
-          head.fn ()
+          fire t head
         end;
         settle t nd
       end
     end
-    else if (not nd.alive) || ev.inc <> nd.incarnation then t.dropped_ <- t.dropped_ + 1
+    else if (not nd.alive) || inc <> nd.incarnation then t.dropped_ <- t.dropped_ + 1
     else if nd.busy_until > time then begin
       let seq = Heap.reserve_seq t.q in
       inbox_push ib ev ~time:nd.busy_until ~seq;
@@ -542,7 +565,7 @@ let step t =
     end
     else begin
       if time > t.now_ then t.now_ <- time;
-      ev.fn ()
+      fire t ev
     end;
     true
   end

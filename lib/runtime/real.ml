@@ -70,9 +70,11 @@ module Exec : Runtime_intf.EXEC = struct
     let spawn i (core, fn) =
       Domain.spawn (fun () ->
           set_tid i;
+          let own = Ordo_trace.Trace.active_handle () in
           Ordo_trace.Trace.adopt trace;
           ignore (Ordo_clock.Tsc.set_affinity core : bool);
-          fn ())
+          (* hand the sink back, or the trace gate's holder count stays up *)
+          Fun.protect fn ~finally:(fun () -> Ordo_trace.Trace.adopt own))
     in
     let domains = List.mapi spawn jobs in
     List.iter Domain.join domains

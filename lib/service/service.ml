@@ -59,6 +59,27 @@ module Obs = Kv.Obs
 module Sessions = Ordo_workloads.Sessions
 module Node_fault = Ordo_hazard.Node_fault
 module Stats = Ordo_util.Stats
+module Trace = Ordo_trace.Trace
+
+(* Every service table is keyed by an int (rid, txid or node id), and an
+   int-specialised table hashes without a C call.  Its iteration order
+   follows this hash, which is safe: every iteration over these tables
+   is sorted, summed, re-inserted into another table, or order-free
+   (resetting a field on each entry). *)
+module IntTbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Fun.id
+end)
+
+(* [List.iter f (List.rev l)] without building the reversed list: the
+   service buffers newest first and ships oldest first. *)
+let rec iter_oldest_first f = function
+  | [] -> ()
+  | x :: older ->
+    iter_oldest_first f older;
+    f x
 
 type config = {
   profile : Sessions.profile;  (** traffic shape; [keys] come from here *)
@@ -158,7 +179,7 @@ type msg =
   | Conflict of { txid : int }
   | Decision of { txid : int; commit : bool; ts : int; ver_b : int }
   | DecisionAck of { txid : int }
-  | Rep of { term : int; entries : Replog.entry list }
+  | Rep of { term : int; entries : Replog.entry list }  (* newest first *)
   | RepAck of { term : int; seq : int }  (* backup applied through [seq] *)
   | Heartbeat of { term : int; until : int }
   | Promoted of { group : int; term : int; leader : int; pos : int }
@@ -174,6 +195,11 @@ type msg =
       unackeds : (int * undec) list;
     }
 
+(* Output of one flush that waits for replication acks: it leaves once
+   every peer has acknowledged the stream through [h_wm].  Both lists are
+   newest first. *)
+type held = { h_wm : int; h_probes : (unit -> unit) list; h_replies : (int * outcome) list }
+
 type nstate = {
   n_id : int;
   n_group : int;
@@ -184,23 +210,23 @@ type nstate = {
   n_store : Key.t array;
   n_log : Replog.t;
   n_adm : Admission.t;
-  n_done : (int, bool * int) Hashtbl.t;  (* rid -> (ok, value delta) *)
-  n_prep : (int, prep) Hashtbl.t;
-  n_decided : (int, bool) Hashtbl.t;  (* txid -> commit? *)
-  n_unacked : (int, undec) Hashtbl.t;
-  n_inflight : (int, int) Hashtbl.t;  (* rid -> txid (coordinator side) *)
-  n_exec : (int, unit) Hashtbl.t;
+  n_done : (bool * int) IntTbl.t;  (* rid -> (ok, value delta) *)
+  n_prep : prep IntTbl.t;
+  n_decided : bool IntTbl.t;  (* txid -> commit? *)
+  n_unacked : undec IntTbl.t;
+  n_inflight : int IntTbl.t;  (* rid -> txid (coordinator side) *)
+  n_exec : unit IntTbl.t;
       (* rids admitted but not yet resolved (locked-key backoff, open
          2PC): a retransmit of one of these must not execute again *)
   n_batch : (int -> unit) Epoch.t;  (* members are commit closures *)
-  mutable n_entries : Replog.entry list;  (* buffered, reverse order *)
-  mutable n_replies : (int * outcome) list;
-  mutable n_probes : (unit -> unit) list;
-  n_unflushed : (int, unit) Hashtbl.t;  (* rids with a buffered or held reply *)
-  n_peer_ack : (int, int) Hashtbl.t;  (* peer -> highest replicated seq it acked *)
-  mutable n_held : (int * (unit -> unit) list * (int * outcome) list) list;
-      (* flushed probes and replies awaiting replication acks,
-         (watermark, probes, replies) in ship order: both leave only
+  mutable n_entries : Replog.entry list;  (* buffered, newest first *)
+  mutable n_replies : (int * outcome) list;  (* newest first *)
+  mutable n_probes : (unit -> unit) list;  (* newest first *)
+  n_unflushed : unit IntTbl.t;  (* rids with a buffered or held reply *)
+  n_peer_ack : int IntTbl.t;  (* peer -> highest replicated seq it acked *)
+  n_held : held Queue.t;
+      (* flushed probes and replies awaiting replication acks, in ship
+         order, so with ascending watermarks: both leave only
          once every peer has acknowledged the stream through the
          watermark, so an acknowledged or trace-visible op is
          replicated — not merely shipped.  A commit the group never
@@ -256,7 +282,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
   let rep_stale = ref 0 in
   let promotions = ref 0 and degraded_reads = ref 0 and snapshots = ref 0 in
   let end_ns = ref 0 in
-  let lats = ref [] in
+  let lats = ref (Array.make 1024 0) and n_lats = ref 0 in
   let rid_counter = ref 0 and txid_counter = ref 0 in
   let stopping = ref false in
 
@@ -275,19 +301,19 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           n_store = Array.init keys (fun _ -> Key.make ~value:100);
           n_log = Replog.create ();
           n_adm = Admission.create cfg.adm;
-          n_done = Hashtbl.create 256;
-          n_prep = Hashtbl.create 32;
-          n_decided = Hashtbl.create 256;
-          n_unacked = Hashtbl.create 32;
-          n_inflight = Hashtbl.create 32;
-          n_exec = Hashtbl.create 32;
-          n_peer_ack = Hashtbl.create 4;
-          n_held = [];
+          n_done = IntTbl.create 256;
+          n_prep = IntTbl.create 32;
+          n_decided = IntTbl.create 256;
+          n_unacked = IntTbl.create 32;
+          n_inflight = IntTbl.create 32;
+          n_exec = IntTbl.create 32;
+          n_peer_ack = IntTbl.create 4;
+          n_held = Queue.create ();
           n_batch = Epoch.create ~epoch_ns:cfg.epoch_ns;
           n_entries = [];
           n_replies = [];
           n_probes = [];
-          n_unflushed = Hashtbl.create 32;
+          n_unflushed = IntTbl.create 32;
           n_to_send = [];
           n_flush_armed = false;
           n_rexmit_armed = false;
@@ -315,11 +341,11 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
   let gen = Sessions.create ~seed:cfg.seed profile in
   let live = ref 0 in
   let arrivals_open = ref true in
-  let pending : (int, pend) Hashtbl.t = Hashtbl.create 1024 in
+  let pending : pend IntTbl.t = IntTbl.create 1024 in
 
   (* ---- decision retransmission ---- *)
   let send_decision n txid =
-    match Hashtbl.find_opt n.n_unacked txid with
+    match IntTbl.find_opt n.n_unacked txid with
     | None -> ()
     | Some u ->
       Net.send net ~src:n.n_id ~dst:views.(n.n_id).(u.u_peer)
@@ -329,18 +355,18 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     n.n_rexmit_armed <- false;
     (* keeps running past [stopping]: unacknowledged decisions must land
        or the participant group drains with a lock held *)
-    if n.n_role = Leader && not n.n_syncing && Hashtbl.length n.n_unacked > 0
+    if n.n_role = Leader && not n.n_syncing && IntTbl.length n.n_unacked > 0
     then begin
       let txids =
         List.sort Int.compare
-          (Hashtbl.fold (fun txid _ acc -> txid :: acc) n.n_unacked [])
+          (IntTbl.fold (fun txid _ acc -> txid :: acc) n.n_unacked [])
       in
       List.iter
         (fun txid ->
-          match Hashtbl.find_opt n.n_unacked txid with
+          match IntTbl.find_opt n.n_unacked txid with
           | None -> ()
           | Some u ->
-            if u.u_tries >= rexmit_cap then Hashtbl.remove n.n_unacked txid
+            if u.u_tries >= rexmit_cap then IntTbl.remove n.n_unacked txid
             else begin
               u.u_tries <- u.u_tries + 1;
               send_decision n txid
@@ -357,17 +383,19 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
   (* First transmission of freshly decided transactions, then keep the
      retransmit timer alive while anything is unacknowledged. *)
   let pump_decisions n =
-    let fresh = List.rev n.n_to_send in
-    n.n_to_send <- [];
-    List.iter (send_decision n) fresh;
-    if Hashtbl.length n.n_unacked > 0 then arm_rexmit n
+    (match n.n_to_send with
+    | [] -> ()
+    | fresh ->
+      n.n_to_send <- [];
+      iter_oldest_first (send_decision n) fresh);
+    if IntTbl.length n.n_unacked > 0 then arm_rexmit n
   in
 
   (* ---- buffered flush discipline ---- *)
   let buffer_entry n op = n.n_entries <- Replog.next n.n_log op :: n.n_entries in
   let buffer_probe n f = n.n_probes <- f :: n.n_probes in
   let buffer_reply n rid outcome =
-    Hashtbl.replace n.n_unflushed rid ();
+    IntTbl.replace n.n_unflushed rid ();
     n.n_replies <- (rid, outcome) :: n.n_replies
   in
   (* Ship buffered entries to the backups FIRST; the buffered probe
@@ -386,53 +414,50 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
      Unreplicated groups have no peers to wait for and emit/reply
      immediately. *)
   let send_reply n (rid, outcome) =
-    Hashtbl.remove n.n_unflushed rid;
+    IntTbl.remove n.n_unflushed rid;
     Net.send net ~src:n.n_id ~dst:client (Reply { rid; outcome })
   in
-  let min_peer_ack n =
-    List.fold_left
-      (fun acc p ->
-        Int.min acc (Option.value (Hashtbl.find_opt n.n_peer_ack p) ~default:(-1)))
-      max_int (peers n)
-  in
+  let peer_ack n p = match IntTbl.find n.n_peer_ack p with s -> s | exception Not_found -> -1 in
+  let rec min_ack n acc = function [] -> acc | p :: ps -> min_ack n (Int.min acc (peer_ack n p)) ps in
+  let min_peer_ack n = min_ack n max_int (peers n) in
   let release_held n =
-    match n.n_held with
-    | [] -> ()
-    | held ->
-      if Lease.valid n.n_lease ~now:(obs_clock n.n_id) || !stopping then begin
-        let ack = min_peer_ack n in
-        let ready, waiting = List.partition (fun (wm, _, _) -> wm <= ack) held in
-        n.n_held <- waiting;
-        if ready <> [] then begin
-          List.iter
-            (fun (_, probes, replies) ->
-              List.iter (fun f -> f ()) probes;
-              List.iter (send_reply n) replies)
-            ready;
-          (* released thunks may have queued first Decision
-             transmissions (cross-commit sends are emission-gated) *)
-          pump_decisions n
-        end
+    if
+      (not (Queue.is_empty n.n_held))
+      && (Lease.valid n.n_lease ~now:(obs_clock n.n_id) || !stopping)
+    then begin
+      let ack = min_peer_ack n in
+      (* watermarks ascend along the queue (a stream position never moves
+         back), so the batches ready to leave are a prefix of it *)
+      if (Queue.peek n.n_held).h_wm <= ack then begin
+        while (not (Queue.is_empty n.n_held)) && (Queue.peek n.n_held).h_wm <= ack do
+          let h = Queue.take n.n_held in
+          iter_oldest_first (fun f -> f ()) h.h_probes;
+          iter_oldest_first (send_reply n) h.h_replies
+        done;
+        (* released thunks may have queued first Decision
+           transmissions (cross-commit sends are emission-gated) *)
+        pump_decisions n
       end
+    end
   in
   let flush n =
-    (match List.rev n.n_entries with
+    (match n.n_entries with
     | [] -> ()
     | entries ->
       n.n_entries <- [];
       List.iter
         (fun p -> Net.send net ~src:n.n_id ~dst:p (Rep { term = n.n_term; entries }))
         (peers n));
-    let probes = List.rev n.n_probes in
-    n.n_probes <- [];
-    let replies = List.rev n.n_replies in
-    n.n_replies <- [];
-    if probes <> [] || replies <> [] then
+    (match (n.n_probes, n.n_replies) with
+    | [], [] -> ()
+    | probes, replies ->
+      n.n_probes <- [];
+      n.n_replies <- [];
       if replicas = 1 then begin
-        List.iter (fun f -> f ()) probes;
-        List.iter (send_reply n) replies
+        iter_oldest_first (fun f -> f ()) probes;
+        iter_oldest_first (send_reply n) replies
       end
-      else n.n_held <- n.n_held @ [ (Replog.position n.n_log, probes, replies) ];
+      else Queue.add { h_wm = Replog.position n.n_log; h_probes = probes; h_replies = replies } n.n_held);
     release_held n
   in
 
@@ -483,17 +508,17 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
      participant-side lock to release). *)
   let abort_tx n txid p ~notify_peer =
     n.n_store.(p.pr_key).Key.locked <- false;
-    Hashtbl.remove n.n_prep txid;
-    Hashtbl.replace n.n_decided txid false;
-    Hashtbl.remove n.n_inflight p.pr_rid;
-    Hashtbl.remove n.n_exec p.pr_rid;
-    Hashtbl.replace n.n_done p.pr_rid (false, 0);
+    IntTbl.remove n.n_prep txid;
+    IntTbl.replace n.n_decided txid false;
+    IntTbl.remove n.n_inflight p.pr_rid;
+    IntTbl.remove n.n_exec p.pr_rid;
+    IntTbl.replace n.n_done p.pr_rid (false, 0);
     Admission.release n.n_adm;
     buffer_entry n (Replog.Decide { txid; commit = false; ts = 0; ver_b = 0 });
     buffer_entry n (Replog.Done { rid = p.pr_rid; ok = false; delta = 0 });
     buffer_reply n p.pr_rid Done_fail;
     if notify_peer then begin
-      Hashtbl.replace n.n_unacked txid
+      IntTbl.replace n.n_unacked txid
         { u_commit = false; u_ts = 0; u_ver_b = 0; u_peer = p.pr_peer; u_tries = 0 };
       n.n_to_send <- txid :: n.n_to_send
     end
@@ -506,11 +531,11 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     let old = stk.Key.ver in
     Key.install stk ~ver:(old + 1) ~ts:final ~delta:(-1);
     stk.Key.locked <- false;
-    Hashtbl.remove n.n_prep txid;
-    Hashtbl.replace n.n_decided txid true;
-    Hashtbl.remove n.n_inflight p.pr_rid;
-    Hashtbl.remove n.n_exec p.pr_rid;
-    Hashtbl.replace n.n_done p.pr_rid (true, 0);
+    IntTbl.remove n.n_prep txid;
+    IntTbl.replace n.n_decided txid true;
+    IntTbl.remove n.n_inflight p.pr_rid;
+    IntTbl.remove n.n_exec p.pr_rid;
+    IntTbl.replace n.n_done p.pr_rid (true, 0);
     Admission.release n.n_adm;
     buffer_entry n
       (Replog.Install
@@ -531,7 +556,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
            we be deposed with the batch still parked, the replicated
            Decide entry rebuilds n_unacked on whoever promotes and the
            chase resumes there. *)
-        Hashtbl.replace n.n_unacked txid
+        IntTbl.replace n.n_unacked txid
           { u_commit = true; u_ts = final; u_ver_b = ver_b + 1; u_peer = peer; u_tries = 0 };
         n.n_to_send <- txid :: n.n_to_send);
     buffer_reply n p.pr_rid Done_ok;
@@ -552,7 +577,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
       stk.Key.rts <- Int.max stk.Key.rts rts
     | Replog.Prep { txid; key; prop; rid; peer; coord } ->
       n.n_store.(key).Key.locked <- true;
-      Hashtbl.replace n.n_prep txid
+      IntTbl.replace n.n_prep txid
         {
           pr_txid = txid;
           pr_key = key;
@@ -563,21 +588,21 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           pr_coord = coord;
         }
     | Replog.Decide { txid; commit; ts; ver_b } ->
-      (match Hashtbl.find_opt n.n_prep txid with
+      (match IntTbl.find_opt n.n_prep txid with
       | Some p ->
         n.n_store.(p.pr_key).Key.locked <- false;
-        Hashtbl.remove n.n_prep txid;
+        IntTbl.remove n.n_prep txid;
         (* if we are ever promoted, keep chasing the participant until
            it acknowledges (commits and aborts both) *)
         if p.pr_coord then
-          Hashtbl.replace n.n_unacked txid
+          IntTbl.replace n.n_unacked txid
             { u_commit = commit; u_ts = ts; u_ver_b = ver_b; u_peer = p.pr_peer; u_tries = 0 }
       | None -> ());
-      Hashtbl.replace n.n_decided txid commit
+      IntTbl.replace n.n_decided txid commit
     | Replog.Done { rid; ok; delta } ->
-      Hashtbl.replace n.n_done rid (ok, delta);
-      Hashtbl.remove n.n_inflight rid
-    | Replog.Acked { txid } -> Hashtbl.remove n.n_unacked txid
+      IntTbl.replace n.n_done rid (ok, delta);
+      IntTbl.remove n.n_inflight rid
+    | Replog.Acked { txid } -> IntTbl.remove n.n_unacked txid
   in
 
   (* ---- leadership ---- *)
@@ -608,9 +633,9 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
   in
   let start_heartbeat n = if not n.n_hb_armed then heartbeat n () in
   let presume_abort_undecided n =
-    Hashtbl.fold
+    IntTbl.fold
       (fun txid p acc ->
-        if p.pr_coord && not (Hashtbl.mem n.n_decided txid) then (txid, p) :: acc
+        if p.pr_coord && not (IntTbl.mem n.n_decided txid) then (txid, p) :: acc
         else acc)
       n.n_prep []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
@@ -623,15 +648,15 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     n.n_suspected <- false;
     n.n_floor <- Lease.promotion_floor ~until:n.n_lease.Lease.until ~boundary ~now:c;
     Replog.seed_from_applied n.n_log;
-    Hashtbl.reset n.n_peer_ack;  (* old-term acks refer to a forked stream *)
-    n.n_held <- [];
+    IntTbl.reset n.n_peer_ack;  (* old-term acks refer to a forked stream *)
+    Queue.clear n.n_held;
     incr promotions;
     probe n.n_id "svc.promote" n.n_group n.n_term;
     Chaos.record tl ~at:(Net.now net) ~node:n.n_id ~group:n.n_group "PROMOTED";
     presume_abort_undecided n;
     n.n_to_send <-
       List.sort Int.compare
-        (Hashtbl.fold (fun txid _ acc -> txid :: acc) n.n_unacked []);
+        (IntTbl.fold (fun txid _ acc -> txid :: acc) n.n_unacked []);
     flush n;
     pump_decisions n;
     n.n_lease <- Lease.grant ~holder:n.n_id ~term:n.n_term ~now:(obs_clock n.n_id) ~term_ns;
@@ -679,21 +704,21 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     n.n_replies <- [];
     n.n_probes <- [];
     n.n_to_send <- [];
-    n.n_held <- [];
-    Hashtbl.reset n.n_peer_ack;
-    Hashtbl.reset n.n_unflushed;
-    Hashtbl.reset n.n_exec;
+    Queue.clear n.n_held;
+    IntTbl.reset n.n_peer_ack;
+    IntTbl.reset n.n_unflushed;
+    IntTbl.reset n.n_exec;
     n.n_suspected <- false
   in
   let rec rejoin n =
     n.n_role <- Backup;
     n.n_syncing <- true;
     clear_volatile n;
-    Hashtbl.reset n.n_prep;
-    Hashtbl.reset n.n_inflight;
-    Hashtbl.reset n.n_unacked;
-    Hashtbl.reset n.n_decided;
-    Hashtbl.reset n.n_done;
+    IntTbl.reset n.n_prep;
+    IntTbl.reset n.n_inflight;
+    IntTbl.reset n.n_unacked;
+    IntTbl.reset n.n_decided;
+    IntTbl.reset n.n_done;
     Array.iter (fun k -> k.Key.locked <- false) n.n_store;
     join_loop n ()
   and join_loop n () =
@@ -723,7 +748,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
       presume_abort_undecided n;
       n.n_to_send <-
         List.sort Int.compare
-          (Hashtbl.fold (fun txid _ acc -> txid :: acc) n.n_unacked []);
+          (IntTbl.fold (fun txid _ acc -> txid :: acc) n.n_unacked []);
       flush n;
       pump_decisions n;
       n.n_lease <- Lease.grant ~holder:node ~term:n.n_term ~now:c ~term_ns;
@@ -758,11 +783,12 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         stk.Key.rts <- new_rts;
         let ver = stk.Key.ver in
         buffer_entry n (Replog.Lease_ext { key = k; rts = new_rts });
-        buffer_probe n (fun () ->
-            Obs.emit_tx net n.n_id ~start_ts:read_at
-              ~reads:[ (k, ver) ]
-              ~installs:[] ~commit_ts:read_at);
-        Hashtbl.remove n.n_exec rid;
+        if Trace.enabled () then
+          buffer_probe n (fun () ->
+              Obs.emit_tx net n.n_id ~start_ts:read_at
+                ~reads:[ (k, ver) ]
+                ~installs:[] ~commit_ts:read_at);
+        IntTbl.remove n.n_exec rid;
         Admission.release n.n_adm;
         buffer_reply n rid Done_ok;
         ensure_flush n
@@ -775,16 +801,17 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         let ts = Key.write_stamp ~clock:c ~floor:n.n_floor stk in
         let old = stk.Key.ver in
         Key.install stk ~ver:(old + 1) ~ts ~delta:1;
-        Hashtbl.replace n.n_done rid (true, 1);
+        IntTbl.replace n.n_done rid (true, 1);
         buffer_entry n
           (Replog.Install
              { key = k; value = stk.Key.value; ver = old + 1; wts = ts; rts = stk.Key.rts });
         buffer_entry n (Replog.Done { rid; ok = true; delta = 1 });
-        buffer_probe n (fun () ->
-            Obs.emit_tx net n.n_id ~start_ts:ts ~reads:[]
-              ~installs:[ (k, old + 1) ]
-              ~commit_ts:ts);
-        Hashtbl.remove n.n_exec rid;
+        if Trace.enabled () then
+          buffer_probe n (fun () ->
+              Obs.emit_tx net n.n_id ~start_ts:ts ~reads:[]
+                ~installs:[ (k, old + 1) ]
+                ~commit_ts:ts);
+        IntTbl.remove n.n_exec rid;
         Admission.release n.n_adm;
         buffer_reply n rid Done_ok;
         ensure_flush n
@@ -799,7 +826,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         let txid = !txid_counter in
         stk.Key.locked <- true;
         let peer_group = group_of_key b in
-        Hashtbl.replace n.n_prep txid
+        IntTbl.replace n.n_prep txid
           {
             pr_txid = txid;
             pr_key = a;
@@ -809,7 +836,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
             pr_peer = peer_group;
             pr_coord = true;
           };
-        Hashtbl.replace n.n_inflight rid txid;
+        IntTbl.replace n.n_inflight rid txid;
         buffer_entry n
           (Replog.Prep { txid; key = a; prop; rid; peer = peer_group; coord = true });
         (* flush before sync-ship: the prepare is on the backups before
@@ -818,8 +845,8 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         Net.send net ~src:n.n_id ~dst:views.(n.n_id).(peer_group)
           (Prepare { txid; key_b = b; prop; coord = n.n_id });
         Net.at net ~node:n.n_id ~delay:prep_abort_ns (fun () ->
-            match Hashtbl.find_opt n.n_prep txid with
-            | Some p when p.pr_coord && not (Hashtbl.mem n.n_decided txid) ->
+            match IntTbl.find_opt n.n_prep txid with
+            | Some p when p.pr_coord && not (IntTbl.mem n.n_decided txid) ->
               abort_tx n txid p ~notify_peer:true;
               flush n;
               pump_decisions n
@@ -828,9 +855,9 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
   and retry_locked n rid op tries =
     if tries >= Kv.max_retries then begin
       (* burn the rid so the client reissues under a fresh one *)
-      Hashtbl.replace n.n_done rid (false, 0);
+      IntTbl.replace n.n_done rid (false, 0);
       buffer_entry n (Replog.Done { rid; ok = false; delta = 0 });
-      Hashtbl.remove n.n_exec rid;
+      IntTbl.remove n.n_exec rid;
       Admission.release n.n_adm;
       buffer_reply n rid Done_fail;
       ensure_flush n
@@ -847,14 +874,14 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           else begin
             (* deposed while queued: the client's retransmit chases the
                new leader; just free the admission slot *)
-            Hashtbl.remove n.n_exec rid;
+            IntTbl.remove n.n_exec rid;
             Admission.release n.n_adm
           end)
   in
 
   (* ---- client machinery ---- *)
   let maybe_stop () =
-    if (not !arrivals_open) && !live = 0 && Hashtbl.length pending = 0 then
+    if (not !arrivals_open) && !live = 0 && IntTbl.length pending = 0 then
       stopping := true
   in
   let target_of p =
@@ -869,7 +896,13 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     if Net.now net > !end_ns then end_ns := Net.now net;
     if ok then begin
       incr committed;
-      lats := float_of_int (Net.now net - p.p_arrival) :: !lats
+      if !n_lats = Array.length !lats then begin
+        let bigger = Array.make (2 * !n_lats) 0 in
+        Array.blit !lats 0 bigger 0 !n_lats;
+        lats := bigger
+      end;
+      !lats.(!n_lats) <- Net.now net - p.p_arrival;
+      incr n_lats
     end
     else incr failed;
     p.p_fin ok;
@@ -895,7 +928,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         p_fin = fin;
       }
     in
-    Hashtbl.replace pending p.p_rid p;
+    IntTbl.replace pending p.p_rid p;
     send_req p
   in
   (* Retransmit scanner: rotate to the next replica once a request has
@@ -904,7 +937,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     if not !stopping then begin
       let now = Net.now net in
       let late =
-        Hashtbl.fold
+        IntTbl.fold
           (fun _ p acc ->
             if now - p.p_sent_at >= client_retry_ns then p :: acc else acc)
           pending []
@@ -915,7 +948,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           p.p_attempts <- p.p_attempts + 1;
           p.p_rot <- p.p_rot + 1;
           if p.p_attempts >= max_attempts then begin
-            Hashtbl.remove pending p.p_rid;
+            IntTbl.remove pending p.p_rid;
             finishp p false
           end
           else send_req p)
@@ -964,15 +997,15 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
              than risk serving past it *)
           Net.send net ~src:dst ~dst:client
             (Reply { rid; outcome = Shed_retry heartbeat_ns })
-        else if Hashtbl.mem n.n_unflushed rid then ()  (* reply already buffered *)
+        else if IntTbl.mem n.n_unflushed rid then ()  (* reply already buffered *)
         else (
-          match Hashtbl.find_opt n.n_done rid with
+          match IntTbl.find_opt n.n_done rid with
           | Some (ok, _) ->
             (* retransmit of a resolved request: replay the outcome *)
             Net.send net ~src:dst ~dst:client
               (Reply { rid; outcome = (if ok then Done_ok else Done_fail) })
           | None ->
-            if Hashtbl.mem n.n_inflight rid || Hashtbl.mem n.n_exec rid then
+            if IntTbl.mem n.n_inflight rid || IntTbl.mem n.n_exec rid then
               ()  (* still executing (2PC or locked-key backoff) *)
             else (
               match Admission.admit n.n_adm ~now:(Net.now net) with
@@ -981,7 +1014,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
                 Net.send net ~src:dst ~dst:client
                   (Reply { rid; outcome = Shed_retry ra })
               | `Admit ->
-                Hashtbl.replace n.n_exec rid ();
+                IntTbl.replace n.n_exec rid ();
                 Net.busy net dst Kv.op_ns;
                 exec n rid op 0))
       | _ ->
@@ -1020,7 +1053,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
       Net.busy net dst (Kv.msg_ns + Kv.op_ns);
       let n = st.(dst) in
       if n.n_role <> Leader || n.n_syncing then ()
-      else if Hashtbl.mem n.n_decided txid || Hashtbl.mem n.n_prep txid then ()
+      else if IntTbl.mem n.n_decided txid || IntTbl.mem n.n_prep txid then ()
       else begin
         let stk = n.n_store.(key_b) in
         if stk.Key.locked || not (Lease.valid n.n_lease ~now:(obs_clock dst))
@@ -1032,7 +1065,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           stk.Key.locked <- true;
           let c = obs_clock dst in
           let prop2 = Key.write_stamp ~clock:c ~floor:(Int.max prop n.n_floor) stk in
-          Hashtbl.replace n.n_prep txid
+          IntTbl.replace n.n_prep txid
             {
               pr_txid = txid;
               pr_key = key_b;
@@ -1060,9 +1093,9 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     | Prepared { txid; ver_b; prop } ->
       Net.busy net dst (Kv.msg_ns + Kv.op_ns);
       let n = st.(dst) in
-      if n.n_role <> Leader || n.n_syncing || Hashtbl.mem n.n_decided txid then ()
+      if n.n_role <> Leader || n.n_syncing || IntTbl.mem n.n_decided txid then ()
       else (
-        match Hashtbl.find_opt n.n_prep txid with
+        match IntTbl.find_opt n.n_prep txid with
         | None -> ()
         | Some p ->
           let tx_start = Int.max p.pr_prop prop in
@@ -1073,8 +1106,8 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
                commit wait) can land after this leader's lease lapsed,
                and a commit stamped then could collide with a promoted
                peer's stamp space; abort instead, the client reissues *)
-            match Hashtbl.find_opt n.n_prep txid with
-            | Some p when not (Hashtbl.mem n.n_decided txid) ->
+            match IntTbl.find_opt n.n_prep txid with
+            | Some p when not (IntTbl.mem n.n_decided txid) ->
               if
                 n.n_role = Leader && (not n.n_syncing)
                 && Lease.valid n.n_lease ~now:final
@@ -1090,8 +1123,8 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     | Conflict { txid } ->
       Net.busy net dst Kv.msg_ns;
       let n = st.(dst) in
-      (match Hashtbl.find_opt n.n_prep txid with
-      | Some p when p.pr_coord && not (Hashtbl.mem n.n_decided txid) ->
+      (match IntTbl.find_opt n.n_prep txid with
+      | Some p when p.pr_coord && not (IntTbl.mem n.n_decided txid) ->
         (* participant never locked: no decision to chase *)
         abort_tx n txid p ~notify_peer:false;
         ensure_flush n
@@ -1104,7 +1137,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         || not (Lease.valid n.n_lease ~now:(obs_clock dst))
       then ()  (* no ack: the retransmit finds a valid leader *)
       else begin
-        (match Hashtbl.find_opt n.n_prep txid with
+        (match IntTbl.find_opt n.n_prep txid with
         | Some p when not p.pr_coord ->
           let stk = n.n_store.(p.pr_key) in
           if commit then begin
@@ -1114,20 +1147,20 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
                  { key = p.pr_key; value = stk.Key.value; ver = ver_b; wts = ts; rts = stk.Key.rts })
           end;
           stk.Key.locked <- false;
-          Hashtbl.remove n.n_prep txid;
-          Hashtbl.replace n.n_decided txid commit;
+          IntTbl.remove n.n_prep txid;
+          IntTbl.replace n.n_decided txid commit;
           buffer_entry n (Replog.Decide { txid; commit; ts; ver_b });
           (* flush before the ack ships *)
           flush n
         | Some _ -> ()
-        | None -> if not (Hashtbl.mem n.n_decided txid) then Hashtbl.replace n.n_decided txid commit);
+        | None -> if not (IntTbl.mem n.n_decided txid) then IntTbl.replace n.n_decided txid commit);
         Net.send net ~src:dst ~dst:src (DecisionAck { txid })
       end
     | DecisionAck { txid } ->
       Net.busy net dst Kv.msg_ns;
       let n = st.(dst) in
-      if Hashtbl.mem n.n_unacked txid then begin
-        Hashtbl.remove n.n_unacked txid;
+      if IntTbl.mem n.n_unacked txid then begin
+        IntTbl.remove n.n_unacked txid;
         buffer_entry n (Replog.Acked { txid });
         ensure_flush n
       end
@@ -1137,7 +1170,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
       if n.n_role <> Backup || n.n_syncing || term < n.n_term then incr rep_stale
       else begin
         if term > n.n_term then n.n_term <- term;
-        List.iter (fun e -> if Replog.admit n.n_log e then apply_entry n e) entries;
+        iter_oldest_first (fun e -> if Replog.admit n.n_log e then apply_entry n e) entries;
         Net.send net ~src:dst ~dst:src
           (RepAck { term = n.n_term; seq = Replog.applied_seq n.n_log })
       end
@@ -1146,8 +1179,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
       let n = st.(dst) in
       (* an old-term ack refers to a forked sequence space: ignore it *)
       if n.n_role = Leader && (not n.n_syncing) && term = n.n_term then begin
-        let prev = Option.value (Hashtbl.find_opt n.n_peer_ack src) ~default:(-1) in
-        if seq > prev then Hashtbl.replace n.n_peer_ack src seq;
+        if seq > peer_ack n src then IntTbl.replace n.n_peer_ack src seq;
         release_held n
       end
     | Heartbeat { term; until } ->
@@ -1163,7 +1195,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
       if dst = client then begin
         views.(client).(group) <- leader;
         (* new leader: stop rotating away from it *)
-        Hashtbl.iter (fun _ p -> if p.p_group = group then p.p_rot <- 0) pending
+        IntTbl.iter (fun _ p -> if p.p_group = group then p.p_rot <- 0) pending
       end
       else begin
         Net.busy net dst Kv.msg_ns;
@@ -1207,15 +1239,15 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
                term = n.n_term;
                seq = Replog.position n.n_log;
                keys = !ks;
-               preps = Hashtbl.fold (fun _ p acc -> p :: acc) n.n_prep [];
-               dones = Hashtbl.fold (fun rid (ok, d) acc -> (rid, ok, d) :: acc) n.n_done [];
-               decideds = Hashtbl.fold (fun txid cmt acc -> (txid, cmt) :: acc) n.n_decided [];
-               unackeds = Hashtbl.fold (fun txid u acc -> (txid, u) :: acc) n.n_unacked [];
+               preps = IntTbl.fold (fun _ p acc -> p :: acc) n.n_prep [];
+               dones = IntTbl.fold (fun rid (ok, d) acc -> (rid, ok, d) :: acc) n.n_done [];
+               decideds = IntTbl.fold (fun txid cmt acc -> (txid, cmt) :: acc) n.n_decided [];
+               unackeds = IntTbl.fold (fun txid u acc -> (txid, u) :: acc) n.n_unacked [];
              });
         (* the snapshot carries the whole stream prefix: once it is in
            flight the joiner can only ever resume from at or above it,
            so it counts as an ack through [position] *)
-        Hashtbl.replace n.n_peer_ack node (Replog.position n.n_log);
+        IntTbl.replace n.n_peer_ack node (Replog.position n.n_log);
         release_held n
       end
     | Snapshot { term; seq; keys = ks; preps; dones; decideds; unackeds } ->
@@ -1231,16 +1263,16 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
             stk.Key.rts <- r;
             stk.Key.locked <- locked)
           ks;
-        Hashtbl.reset n.n_prep;
-        List.iter (fun p -> Hashtbl.replace n.n_prep p.pr_txid p) preps;
-        Hashtbl.reset n.n_done;
-        List.iter (fun (rid, ok, d) -> Hashtbl.replace n.n_done rid (ok, d)) dones;
-        Hashtbl.reset n.n_decided;
-        List.iter (fun (txid, cmt) -> Hashtbl.replace n.n_decided txid cmt) decideds;
-        Hashtbl.reset n.n_unacked;
+        IntTbl.reset n.n_prep;
+        List.iter (fun p -> IntTbl.replace n.n_prep p.pr_txid p) preps;
+        IntTbl.reset n.n_done;
+        List.iter (fun (rid, ok, d) -> IntTbl.replace n.n_done rid (ok, d)) dones;
+        IntTbl.reset n.n_decided;
+        List.iter (fun (txid, cmt) -> IntTbl.replace n.n_decided txid cmt) decideds;
+        IntTbl.reset n.n_unacked;
         List.iter
           (fun (txid, u) ->
-            Hashtbl.replace n.n_unacked txid
+            IntTbl.replace n.n_unacked txid
               { u_commit = u.u_commit; u_ts = u.u_ts; u_ver_b = u.u_ver_b; u_peer = u.u_peer; u_tries = 0 })
           unackeds;
         Replog.set_applied n.n_log seq;
@@ -1260,44 +1292,44 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         arm_monitor n
       end
     | Reply { rid; outcome } -> (
-      match Hashtbl.find_opt pending rid with
+      match IntTbl.find_opt pending rid with
       | None -> ()  (* late duplicate of a resolved request *)
       | Some p -> (
         match outcome with
         | Done_ok ->
-          Hashtbl.remove pending rid;
+          IntTbl.remove pending rid;
           finishp p true
         | Done_fail ->
-          Hashtbl.remove pending rid;
+          IntTbl.remove pending rid;
           p.p_attempts <- p.p_attempts + 1;
           if p.p_attempts >= max_attempts then finishp p false
           else begin
             (* the old rid is burned in the done-table: fresh identity *)
             incr rid_counter;
             let p2 = { p with p_rid = !rid_counter } in
-            Hashtbl.replace pending p2.p_rid p2;
+            IntTbl.replace pending p2.p_rid p2;
             Net.at net ~node:client ~delay:(Kv.retry_ns * p2.p_attempts) (fun () ->
-                if Hashtbl.mem pending p2.p_rid then send_req p2)
+                if IntTbl.mem pending p2.p_rid then send_req p2)
           end
         | Shed_retry ra ->
           incr shed_replies;
           p.p_attempts <- p.p_attempts + 1;
           if p.p_attempts >= max_attempts then begin
-            Hashtbl.remove pending rid;
+            IntTbl.remove pending rid;
             finishp p false
           end
           else begin
             (* hold the scanner off until the retry fires *)
             p.p_sent_at <- Net.now net + ra;
             Net.at net ~node:client ~delay:(Int.max 1 ra) (fun () ->
-                if Hashtbl.mem pending rid then send_req p)
+                if IntTbl.mem pending rid then send_req p)
           end
         | Moved leader ->
           views.(client).(p.p_group) <- leader;
           p.p_rot <- 0;
           p.p_attempts <- p.p_attempts + 1;
           if p.p_attempts >= max_attempts then begin
-            Hashtbl.remove pending rid;
+            IntTbl.remove pending rid;
             finishp p false
           end
           else send_req p))
@@ -1341,7 +1373,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         if l.n_store.(k).Key.locked then incr locks_left
       end
     done;
-    Hashtbl.iter (fun _ (ok, d) -> if ok then expected_sum := !expected_sum + d) l.n_done;
+    IntTbl.iter (fun _ (ok, d) -> if ok then expected_sum := !expected_sum + d) l.n_done;
     List.iter
       (fun m ->
         if m <> acting.(g) && Net.alive net m && not st.(m).n_syncing then
@@ -1367,8 +1399,9 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           (List.init replicas (fun r -> base_of g + r)))
   in
   let sum_over f = Array.fold_left (fun acc n -> acc + f n) 0 st in
-  let lats = Array.of_list !lats in
-  Array.sort Float.compare lats;
+  let lats = Array.sub !lats 0 !n_lats in
+  Array.sort Int.compare lats;
+  let lats = Array.map float_of_int lats in
   let pct p = if Array.length lats = 0 then 0.0 else Stats.percentile lats p in
   let ss = Sessions.stats gen in
   {

@@ -155,14 +155,29 @@ type sink = {
 type state = { mutable sink : sink option }
 
 let state_key : state Domain.DLS.key = Domain.DLS.new_key (fun () -> { sink = None })
-let current () = (Domain.DLS.get state_key).sink
-let is_tracing () = Option.is_some (current ())
-let enabled = is_tracing
+
+(* How many domains hold a sink, changed on every None <-> Some transition
+   of a domain's slot.  It is read before the domain-local lookup, so
+   while no domain traces, a disabled gate is one load. *)
+let holders = Atomic.make 0
+
+let current () = if Atomic.get holders = 0 then None else (Domain.DLS.get state_key).sink
+
+let install sink =
+  let st = Domain.DLS.get state_key in
+  (match (st.sink, sink) with
+  | None, Some _ -> Atomic.incr holders
+  | Some _, None -> Atomic.decr holders
+  | _ -> ());
+  st.sink <- sink
+
+let enabled () = Option.is_some (current ())
+let is_tracing = enabled
 
 type handle = sink option
 
 let active_handle () = current ()
-let adopt h = (Domain.DLS.get state_key).sink <- h
+let adopt h = install h
 
 let start ?(capacity = 16_384) ?(threads = 64) () =
   if capacity < 1 then invalid_arg "Trace.start: capacity must be >= 1";
@@ -173,8 +188,8 @@ let start ?(capacity = 16_384) ?(threads = 64) () =
       tag_names.(id) <- tag;
       Hashtbl.add tag_ids tag id)
     guard_tag_names;
-  (Domain.DLS.get state_key).sink <-
-    Some
+  install
+    (Some
       {
         capacity;
         bufs = Array.make (max 1 threads) None;
@@ -186,7 +201,7 @@ let start ?(capacity = 16_384) ?(threads = 64) () =
         line_names = Hashtbl.create 8;
         seq = Atomic.make 0;
         lock = Mutex.create ();
-      }
+      })
 
 let grow array tid =
   let n = Array.length array in
@@ -377,7 +392,7 @@ let stop () =
   match current () with
   | None -> invalid_arg "Trace.stop: not tracing"
   | Some s ->
-    (Domain.DLS.get state_key).sink <- None;
+    install None;
     let runs = ref [] and dropped = ref 0 in
     Array.iteri
       (fun tid buf ->

@@ -114,9 +114,11 @@ type t = {
 }
 
 val enabled : unit -> bool
-(** Producers must check [enabled ()] (one domain-local read) before
-    computing anything for an emission.  The simulator engine samples it
-    once per run and caches the answer on its hot paths. *)
+(** Producers must check [enabled ()] before computing anything for an
+    emission.  While no domain holds a sink it is one load of a global
+    count; otherwise it also reads the domain-local slot.  The simulator
+    engine samples it once per run and caches the answer on its hot
+    paths. *)
 
 val is_tracing : unit -> bool
 (** Alias of {!enabled}. *)

@@ -165,7 +165,7 @@ let next_arrival t ~now =
   else begin
     let g0 = float_of_int t.profile.dur_ns /. float_of_int t.profile.sessions in
     let rec draw acc =
-      let gap = 1 + int_of_float (Rng.exponential t.arr_rng (g0 /. 1.5)) in
+      let gap = 1 + Rng.exponential_int t.arr_rng (g0 /. 1.5) in
       let acc = acc + gap in
       if now + acc > t.profile.dur_ns then None
       else if Rng.int t.arr_rng 1500 < intensity t ~now:(now + acc) then begin
@@ -186,18 +186,14 @@ let pick_tenant t rng =
 let connect t =
   let srng = Rng.split t.sess_rng in
   let tenant = pick_tenant t srng in
-  let left =
-    max 1
-      (int_of_float
-         (Rng.exponential srng (float_of_int t.profile.mean_requests)))
-  in
+  let left = max 1 (Rng.exponential_int srng (float_of_int t.profile.mean_requests)) in
   let sid = t.next_sid in
   t.next_sid <- sid + 1;
   t.stats.opened <- t.stats.opened + 1;
   { sid; tenant; left; srng }
 
 let think_gap t s =
-  1 + int_of_float (Rng.exponential s.srng (float_of_int t.profile.mean_think_ns))
+  1 + Rng.exponential_int s.srng (float_of_int t.profile.mean_think_ns)
 
 let storm_key t ~now rng =
   let rec go i = function

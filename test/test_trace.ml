@@ -565,8 +565,41 @@ let test_checker_reports_cycle () =
       (List.sort compare [ a.Checker.tx_tid; b.Checker.tx_tid ])
   | _ -> Alcotest.failf "expected one 2-cycle, got: %s" (String.concat "; " (Checker.describe r))
 
+(* ---- the enabled gate ---- *)
+
+(* The gate follows the calling domain's sink: off with none installed,
+   on only in the domain that started tracing or adopted its handle, and
+   off everywhere once the sink is stopped.  (Its one-load fast path is a
+   count of the domains holding a sink; a domain that adopts and hands the
+   sink back must leave that count where it found it.) *)
+let test_enabled_gate () =
+  let in_domain f = Domain.join (Domain.spawn f) in
+  check Alcotest.bool "off with no sink" false (Trace.enabled ());
+  Trace.start ();
+  check Alcotest.bool "on where it started" true (Trace.enabled ());
+  check Alcotest.bool "off in a domain that adopted nothing" false
+    (in_domain Trace.enabled);
+  let h = Trace.active_handle () in
+  let adopted =
+    in_domain (fun () ->
+        let own = Trace.active_handle () in
+        Trace.adopt h;
+        let on = Trace.enabled () in
+        Trace.adopt own;
+        (on, Trace.enabled ()))
+  in
+  check Alcotest.(pair bool bool) "on once adopted, off once handed back" (true, false) adopted;
+  ignore (Trace.stop () : Trace.t);
+  check Alcotest.bool "off after stop" false (Trace.enabled ());
+  check Alcotest.bool "off in other domains after stop" false (in_domain Trace.enabled);
+  Trace.adopt h;
+  check Alcotest.bool "on again while a stale handle is adopted" true (Trace.enabled ());
+  Trace.adopt (in_domain Trace.active_handle);
+  check Alcotest.bool "off once it is dropped" false (Trace.enabled ())
+
 let suite =
   [
+    ("enabled gate follows the sink", `Quick, test_enabled_gate);
     ("tracing is observational", `Quick, test_trace_is_observational);
     ("engine counters", `Quick, test_engine_counters);
     ("clock reads traced", `Quick, test_clock_reads_traced);

@@ -175,7 +175,16 @@ let scan ~guarded ~boundary (t : Trace.t) =
       s.swept <-
         Clock_inversion { earlier = events.(!max_at); later = b; delta = !max_val - b.a } :: s.swept
   in
-  let open_tx = Itbl.create 64 and last_read = Itbl.create 64 and kids = Itbl.create 64 in
+  (* [open_tx.(tid)]: the tid's open tx slot, or -1.  Tids are ring
+     indices, so non-negative; the array grows on demand. *)
+  let open_tx = ref (Array.make 64 (-1)) in
+  let open_slot tid = if tid < Array.length !open_tx then !open_tx.(tid) else -1 in
+  let set_open tid slot =
+    let n = Array.length !open_tx in
+    if tid >= n then open_tx := Array.append !open_tx (Array.make (Int.max (tid + 1 - n) n) (-1));
+    !open_tx.(tid) <- slot
+  in
+  let last_read = Itbl.create 64 and kids = Itbl.create 64 in
   let kid key =
     match Itbl.find kids key with
     | k -> k
@@ -192,17 +201,17 @@ let scan ~guarded ~boundary (t : Trace.t) =
       if not (Hb.certainly_after ~boundary e.c e.b) then
         s.short <- New_time_short { tid = e.tid; time = e.time; arg = e.b; result = e.c } :: s.short
     | Begin ->
-      Itbl.replace open_tx e.tid s.begins.len;
+      set_open e.tid s.begins.len;
       push s.begins i
     | (Read | Install | Commit | Abort) as r ->
-      (match Itbl.find open_tx e.tid with
-      | exception Not_found -> ()
-      | slot ->
-        (match r with
+      let slot = open_slot e.tid in
+      if slot >= 0 then begin
+        match r with
         | Read -> push3 s.reads slot (kid e.b) e.c
         | Install -> push3 s.installs slot (kid e.b) e.c; push s.installs e.seq
-        | Commit -> push3 s.commits slot e.b e.seq; push s.commits e.time; Itbl.remove open_tx e.tid
-        | _ -> s.aborted <- s.aborted + 1; Itbl.remove open_tx e.tid))
+        | Commit -> push3 s.commits slot e.b e.seq; push s.commits e.time; set_open e.tid (-1)
+        | _ -> s.aborted <- s.aborted + 1; set_open e.tid (-1)
+      end
   in
   for i = 0 to Array.length events - 1 do
     let e = events.(i) in

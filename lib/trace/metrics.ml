@@ -1,6 +1,7 @@
 (* Aggregation and text reporting over a collected trace: machine-wide
    totals (per-core Welford accumulators combined with [Online.merge]),
-   hottest-line ranking, and aligned tables for the bench reports. *)
+   hottest-line ranking (a top-n pass over the unordered [Trace.lines]),
+   and aligned tables for the bench reports. *)
 
 module Stats = Ordo_util.Stats
 module Report = Ordo_util.Report
@@ -42,9 +43,29 @@ let totals (t : Trace.t) =
 
 let transfers_total (c : Trace.core_stat) = Array.fold_left ( + ) 0 c.transfers
 
-(* [t.lines] is already hottest first: list only the prefix. *)
+(* Hotter first: more [transfer_ns + stall_ns], then the lower line id. *)
+let hotter (a : Trace.line_stat) (b : Trace.line_stat) =
+  let ha = a.transfer_ns + a.stall_ns and hb = b.transfer_ns + b.stall_ns in
+  ha > hb || (ha = hb && a.line < b.line)
+
+(* [t.lines] is unordered: one pass keeps the [n] hottest, hottest first,
+   by insertion into [top] — O(L n), and callers ask for n <= 5. *)
 let hottest ?(n = 5) (t : Trace.t) =
-  Array.to_list (Array.sub t.lines 0 (Int.min (Int.max n 0) (Array.length t.lines)))
+  let k = Int.min (Int.max n 0) (Array.length t.lines) in
+  let top = Array.sub t.lines 0 k and len = ref 0 in
+  Array.iter
+    (fun l ->
+      if !len < k || (k > 0 && hotter l top.(k - 1)) then begin
+        let i = ref (Int.min !len (k - 1)) in
+        while !i > 0 && hotter l top.(!i - 1) do
+          top.(!i) <- top.(!i - 1);
+          decr i
+        done;
+        top.(!i) <- l;
+        len := Int.min (!len + 1) k
+      end)
+    t.lines;
+  Array.to_list top
 
 (* ---- tables ---- *)
 

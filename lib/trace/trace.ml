@@ -123,7 +123,7 @@ type t = {
   tags : string array;
   dropped : int;
   cores : core_stat array;  (* cores that emitted at least once, ascending id *)
-  lines : line_stat array;  (* hottest (busiest) first *)
+  lines : line_stat array;  (* every line that saw traffic, unordered *)
   names : (int * string) list;  (* user labels for line ids *)
 }
 
@@ -143,7 +143,9 @@ type sink = {
   mutable n_tags : int;
   line_names : (int, string) Hashtbl.t;
   seq : int Atomic.t;
-  lock : Mutex.t;  (* guards growth and interning (real-substrate emits) *)
+  lock : Mutex.t;  (* guards growth, interning (real-substrate emits) and [users] *)
+  mutable live : bool;  (* until [stop] *)
+  mutable users : int;  (* domains holding it while live *)
 }
 
 (* The installed sink is *domain-local*: each domain traces (or not)
@@ -156,20 +158,33 @@ type state = { mutable sink : sink option }
 
 let state_key : state Domain.DLS.key = Domain.DLS.new_key (fun () -> { sink = None })
 
-(* How many domains hold a sink, changed on every None <-> Some transition
-   of a domain's slot.  It is read before the domain-local lookup, so
-   while no domain traces, a disabled gate is one load. *)
+(* How many domains hold a live sink.  It is read before the domain-local
+   lookup, so while no domain traces, a disabled gate is one load.  [stop]
+   takes all of its sink's users off the count at once; a domain that still
+   holds the stopped sink then reads [live = false], so a stopped sink is
+   no sink in every domain, and adopting it again installs nothing. *)
 let holders = Atomic.make 0
 
-let current () = if Atomic.get holders = 0 then None else (Domain.DLS.get state_key).sink
+let current () =
+  if Atomic.get holders = 0 then None
+  else match (Domain.DLS.get state_key).sink with Some s as o when s.live -> o | _ -> None
 
+(* Points the calling domain's slot at [sink]; only a live sink is held
+   and counted. *)
 let install sink =
   let st = Domain.DLS.get state_key in
-  (match (st.sink, sink) with
-  | None, Some _ -> Atomic.incr holders
-  | Some _, None -> Atomic.decr holders
-  | _ -> ());
-  st.sink <- sink
+  let hold d = function
+    | None -> false
+    | Some s ->
+      Mutex.protect s.lock (fun () ->
+          if s.live then begin
+            s.users <- s.users + d;
+            ignore (Atomic.fetch_and_add holders d : int)
+          end;
+          s.live)
+  in
+  ignore (hold (-1) st.sink : bool);
+  st.sink <- (if hold 1 sink then sink else None)
 
 let enabled () = Option.is_some (current ())
 let is_tracing = enabled
@@ -201,6 +216,8 @@ let start ?(capacity = 16_384) ?(threads = 64) () =
         line_names = Hashtbl.create 8;
         seq = Atomic.make 0;
         lock = Mutex.create ();
+        live = true;
+        users = 0;
       })
 
 let grow array tid =
@@ -242,6 +259,8 @@ let core_of s tid =
     in
     s.core_stats.(tid) <- Some c;
     c
+
+let no_line = { line = -1; transfers = 0; invalidations = 0; stall_ns = 0; transfer_ns = 0 }
 
 let line_of s line =
   match Hashtbl.find_opt s.line_stats line with
@@ -392,7 +411,11 @@ let stop () =
   match current () with
   | None -> invalid_arg "Trace.stop: not tracing"
   | Some s ->
-    install None;
+    Mutex.protect s.lock (fun () ->
+        s.live <- false;
+        ignore (Atomic.fetch_and_add holders (-s.users) : int);
+        s.users <- 0);
+    (Domain.DLS.get state_key).sink <- None;
     let runs = ref [] and dropped = ref 0 in
     Array.iteri
       (fun tid buf ->
@@ -403,18 +426,15 @@ let stop () =
         | _ -> ())
       s.bufs;
     let events = merge (Array.of_list !runs) in
-    let cores =
-      Array.to_list s.core_stats |> List.filter_map Fun.id
-      |> List.sort (fun a b -> compare a.core b.core)
-      |> Array.of_list
-    in
-    let heat l = l.transfer_ns + l.stall_ns in
-    let lines =
-      Hashtbl.fold (fun _ l acc -> l :: acc) s.line_stats []
-      |> List.sort (fun a b ->
-             if heat a <> heat b then compare (heat b) (heat a) else compare a.line b.line)
-      |> Array.of_list
-    in
+    (* [core_stats] is indexed by tid, so its filter ascends by core. *)
+    let cores = Array.to_list s.core_stats |> List.filter_map Fun.id |> Array.of_list in
+    (* Unranked: ranking is [Metrics.hottest]'s, which wants a few of them. *)
+    let lines = Array.make (Hashtbl.length s.line_stats) no_line and i = ref 0 in
+    Hashtbl.iter
+      (fun _ l ->
+        lines.(!i) <- l;
+        incr i)
+      s.line_stats;
     {
       events;
       tags = Array.sub s.tag_names 0 s.n_tags;

@@ -4,7 +4,7 @@
     (cache-line transfers, invalidations, RMW serialization stalls, clock
     reads, spin pauses) and from algorithm code (spans and probes routed
     through [Runtime_intf.S]).  Recording is off by default and free when
-    off: producers gate every emission on a single read of {!on}, and no
+    off: producers gate every emission on {!enabled}, and no
     allocation happens on the disabled path.  Recording is purely
     observational — it never charges virtual time or consumes simulation
     randomness, so a traced run is bit-identical (same [end_vtime], same
@@ -108,17 +108,20 @@ type t = {
   events : event array;  (** ascending (time, seq) *)
   tags : string array;
   dropped : int;  (** events lost to ring wrap-around (counters are exact) *)
-  cores : core_stat array;  (** cores that emitted at least once *)
-  lines : line_stat array;  (** hottest (busiest ns) first *)
+  cores : core_stat array;  (** cores that emitted at least once, ascending id *)
+  lines : line_stat array;
+      (** every line that saw traffic, in no specified order; rank them
+          with [Metrics.hottest] *)
   names : (int * string) list;  (** user labels attached with [name_line] *)
 }
 
 val enabled : unit -> bool
 (** Producers must check [enabled ()] before computing anything for an
-    emission.  While no domain holds a sink it is one load of a global
-    count; otherwise it also reads the domain-local slot.  The simulator
-    engine samples it once per run and caches the answer on its hot
-    paths. *)
+    emission.  While no domain holds a live sink it is one load of a
+    global count; otherwise it also reads the domain-local slot and
+    whether that sink is still live.  A stopped sink reads as no sink in
+    every domain, including one that adopted it.  The simulator engine
+    samples it once per run and caches the answer on its hot paths. *)
 
 val is_tracing : unit -> bool
 (** Alias of {!enabled}. *)
@@ -130,7 +133,8 @@ type handle
 val active_handle : unit -> handle
 val adopt : handle -> unit
 (** [adopt h] makes the calling domain emit into the sink behind [h]
-    (captured in the parent with {!active_handle}). *)
+    (captured in the parent with {!active_handle}).  Adopting a handle
+    whose sink has been stopped installs no sink. *)
 
 val start : ?capacity:int -> ?threads:int -> unit -> unit
 (** Install the sink.  [capacity] is the per-thread ring size in events
@@ -148,7 +152,9 @@ val stop : unit -> t
     one more wherever its times step back (an event stamped with another
     instant than its emitter's clock, like the simulator's [Hazard]
     events).  A loser tree ({!Ordo_util.Kmerge}) merges the R slices:
-    ceil(log2 R) compares per event, straight into [events].
+    ceil(log2 R) compares per event, straight into [events].  [lines]
+    is copied from the sink's table unranked.  Every domain that still
+    holds the sink sees tracing off from here on.
     Raises [Invalid_argument] if not tracing. *)
 
 val emit : tid:int -> time:int -> kind -> a:int -> b:int -> c:int -> unit

@@ -111,11 +111,12 @@ let int t bound =
 
 let int_in t lo hi = lo + int t (hi - lo + 1)
 
-let[@inline] float t bound =
+(* Top 53 bits of the raw output (result >>> 11). *)
+let[@inline] bits53 t =
   step t;
-  (* Top 53 bits of the raw output, as before (result >>> 11). *)
-  let bits = (t.rh lsl 21) lor (t.rl lsr 11) in
-  float_of_int bits /. 9007199254740992.0 *. bound
+  (t.rh lsl 21) lor (t.rl lsr 11)
+
+let[@inline] float t bound = float_of_int (bits53 t) /. 9007199254740992.0 *. bound
 
 let bool t =
   step t;
@@ -123,10 +124,7 @@ let bool t =
 
 (* [float t 1.0 < p] with the multiply by 1.0 elided (exact) — keeps the
    comparison in registers instead of boxing the returned float. *)
-let chance t p =
-  step t;
-  let bits = (t.rh lsl 21) lor (t.rl lsr 11) in
-  float_of_int bits /. 9007199254740992.0 < p
+let chance t p = float_of_int (bits53 t) /. 9007199254740992.0 < p
 
 let[@inline] exponential t mean =
   let u = float t 1.0 in

@@ -31,6 +31,11 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
+val bits53 : t -> int
+(** The top 53 bits of the next raw output: [float t bound] is
+    [float_of_int (bits53 t) /. 2{^53} *. bound].  A caller in another
+    module builds its float from this to keep it unboxed. *)
+
 val bool : t -> bool
 
 val chance : t -> float -> bool

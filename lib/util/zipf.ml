@@ -24,7 +24,9 @@ let create ~n ~theta =
 let sample t rng =
   if t.n = 1 then 0
   else
-    let u = Rng.float rng 1.0 in
+    (* [Rng.float rng 1.0], built here: a float returned across modules
+       would be boxed, two words per sample. *)
+    let u = float_of_int (Rng.bits53 rng) /. 9007199254740992.0 in
     let uz = u *. t.zetan in
     if uz < 1.0 then 0
     else if uz < 1.0 +. Float.pow 0.5 t.theta then 1

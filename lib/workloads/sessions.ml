@@ -94,6 +94,11 @@ type t = {
   cum_weights : int array;
   total_weight : int;
   storm_keys : int array;
+  (* Exponential means, computed once: a float computed at a call to
+     [Rng.exponential_int] would be boxed on every draw. *)
+  arr_mean : float;  (* candidate gap: the nominal gap over 1.5 *)
+  req_mean : float;
+  think_mean : float;
   mutable arrivals : int;  (* sessions the arrival process has granted *)
   mutable next_sid : int;
   stats : stats;
@@ -138,6 +143,9 @@ let create ~seed profile =
     storm_keys =
       Array.of_list
         (List.map (fun _ -> Rng.int storm_rng profile.keys) profile.storms);
+    arr_mean = float_of_int profile.dur_ns /. float_of_int profile.sessions /. 1.5;
+    req_mean = float_of_int profile.mean_requests;
+    think_mean = float_of_int profile.mean_think_ns;
     arrivals = 0;
     next_sid = 0;
     stats = { opened = 0; closed = 0; reconnects = 0; storm_ops = 0 };
@@ -160,40 +168,37 @@ let intensity t ~now =
    has the diurnal intensity and a long-run mean of [sessions] arrivals
    over [dur_ns].  Returns the gap to the next accepted arrival, or
    [None] once the cap is reached or the window has closed. *)
-let next_arrival t ~now =
-  if t.arrivals >= t.profile.sessions then None
-  else begin
-    let g0 = float_of_int t.profile.dur_ns /. float_of_int t.profile.sessions in
-    let rec draw acc =
-      let gap = 1 + Rng.exponential_int t.arr_rng (g0 /. 1.5) in
-      let acc = acc + gap in
-      if now + acc > t.profile.dur_ns then None
-      else if Rng.int t.arr_rng 1500 < intensity t ~now:(now + acc) then begin
-        t.arrivals <- t.arrivals + 1;
-        Some acc
-      end
-      else draw acc
-    in
-    draw 0
+let rec draw_arrival t ~now acc =
+  let acc = acc + 1 + Rng.exponential_int t.arr_rng t.arr_mean in
+  if now + acc > t.profile.dur_ns then None
+  else if Rng.int t.arr_rng 1500 < intensity t ~now:(now + acc) then begin
+    t.arrivals <- t.arrivals + 1;
+    Some acc
   end
+  else draw_arrival t ~now acc
 
-let pick_tenant t rng =
-  let dice = Rng.int rng t.total_weight in
-  let n = Array.length t.cum_weights in
-  let rec go i = if i >= n - 1 || dice < t.cum_weights.(i) then i else go (i + 1) in
-  go 0
+let next_arrival t ~now = if t.arrivals >= t.profile.sessions then None else draw_arrival t ~now 0
+
+(* The first tenant whose cumulative weight exceeds [dice].  This and
+   [draw_arrival] are top-level functions: a local one would allocate a
+   closure per call. *)
+let rec tenant_at t dice i =
+  if i >= Array.length t.cum_weights - 1 || dice < t.cum_weights.(i) then i
+  else tenant_at t dice (i + 1)
+
+let pick_tenant t rng = tenant_at t (Rng.int rng t.total_weight) 0
 
 let connect t =
   let srng = Rng.split t.sess_rng in
   let tenant = pick_tenant t srng in
-  let left = max 1 (Rng.exponential_int srng (float_of_int t.profile.mean_requests)) in
+  let left = max 1 (Rng.exponential_int srng t.req_mean) in
   let sid = t.next_sid in
   t.next_sid <- sid + 1;
   t.stats.opened <- t.stats.opened + 1;
   { sid; tenant; left; srng }
 
 let think_gap t s =
-  1 + Rng.exponential_int s.srng (float_of_int t.profile.mean_think_ns)
+  1 + Rng.exponential_int s.srng t.think_mean
 
 let storm_key t ~now rng =
   let rec go i = function

@@ -341,6 +341,33 @@ let test_seed12_report () =
   check Alcotest.bool "one commit-order inversion on key 52" true
     (rep.Checker.violations = [ Checker.Edge_inversion { key = 52; from_tx; to_tx } ])
 
+(* The session generator's exponential draws take means computed once at
+   [create], so none boxes a float: 10k think gaps allocate nothing, 10k
+   arrivals only their [Some], and 10k connects only their session record
+   and split rng. *)
+let test_session_draws_allocate_nothing () =
+  let profile = { Sessions.default with Sessions.sessions = 1_000_000; dur_ns = 1_000_000_000_000 } in
+  let g = Sessions.create ~seed:5 profile in
+  let s = Sessions.connect g in
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      f ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  check (Alcotest.float 0.0) "think_gap" 0.0 (words (fun () -> ignore (Sessions.think_gap g s : int)));
+  let now = ref 0 in
+  check (Alcotest.float 0.0) "next_arrival, beyond its Some" 20_000.0
+    (words (fun () ->
+         match Sessions.next_arrival g ~now:!now with
+         | Some gap -> now := !now + gap
+         | None -> Alcotest.fail "arrival window closed"));
+  let rng = Ordo_util.Rng.create () in
+  let split = words (fun () -> ignore (Ordo_util.Rng.split rng : Ordo_util.Rng.t)) in
+  check (Alcotest.float 0.0) "connect, beyond its record and rng" (split +. 50_000.0)
+    (words (fun () -> ignore (Sessions.connect g : Sessions.session)))
+
 let case name f = Alcotest.test_case name `Quick f
 
 let suite =
@@ -353,6 +380,7 @@ let suite =
     case "admission unit" test_admission_unit;
     case "epoch batches unit" test_epoch_unit;
     case "lease unit" test_lease_unit;
+    case "session draws allocate nothing" test_session_draws_allocate_nothing;
     test_lease_read_never_past_rts;
     test_key_write_stamp;
     case "chaos: primary killed mid-run" test_chaos_primary_kill;

@@ -252,8 +252,9 @@ let print_program (capacity, threads, tids, steps) =
    (time, seq).  A probe whose tag id is a reserved guard tag's (ids
    0–4) comes out as a guard.  The per-core counters must add up to each
    tid's emissions, cores ascending by id, and the per-line stats are
-   folded from the log and sorted by heat (transfer plus stall ns)
-   descending, then line id. *)
+   folded from the log.  [lines] is unordered, so it is compared as a set
+   keyed by line id; the ranking is [Metrics.hottest]'s, checked below
+   against a full sort. *)
 let stop_matches_reference (capacity, threads, tids, steps) =
   let tids = Array.of_list tids in
   let clock = Array.map snd tids in
@@ -307,23 +308,56 @@ let stop_matches_reference (capacity, threads, tids, steps) =
       | _ -> ())
     log;
   let lines =
-    Hashtbl.fold (fun line (tr, inv, st, tns) acc -> (-(tns + st), line, tr, inv, st, tns) :: acc) lines []
+    Hashtbl.fold (fun line (tr, inv, st, tns) acc -> (line, tr, inv, st, tns) :: acc) lines []
     |> List.sort compare
-    |> List.map (fun (_, line, tr, inv, st, tns) -> (line, tr, inv, st, tns))
   in
   Array.to_list t.Trace.events = expected
   && t.Trace.dropped = dropped
   && Array.to_list (Array.map (fun (c : Trace.core_stat) -> (c.core, core_total c)) t.Trace.cores)
      = cores
-  && Array.to_list
-       (Array.map
-          (fun (l : Trace.line_stat) -> (l.line, l.transfers, l.invalidations, l.stall_ns, l.transfer_ns))
-          t.Trace.lines)
+  && List.sort compare
+       (Array.to_list
+          (Array.map
+             (fun (l : Trace.line_stat) ->
+               (l.line, l.transfers, l.invalidations, l.stall_ns, l.transfer_ns))
+             t.Trace.lines))
      = lines
 
 let test_stop_differential =
   prop "stop = per-tid suffixes sorted by (time, seq)" ~count:500 ~print:print_program
     program_gen stop_matches_reference
+
+(* [Metrics.hottest ~n] against the first [n] of a full sort by heat
+   (transfer plus stall ns) descending, then line id.  Heats come from a
+   few small values so ties are common; line ids are distinct and
+   shuffled; n runs past the line count. *)
+let hottest_gen =
+  QCheck2.Gen.(
+    let line_gen = pair (int_range 0 3) (int_range 0 3) in
+    list_size (int_range 0 40) line_gen >>= fun heats ->
+    let l = List.length heats in
+    triple (return heats) (shuffle_l (List.init l Fun.id)) (int_range 0 (l + 2)))
+
+let hottest_is_sorted_prefix (heats, ids, n) =
+  let lines =
+    List.map2
+      (fun (tns, st) line ->
+        { Trace.line; transfers = 0; invalidations = 0; stall_ns = st; transfer_ns = tns })
+      heats ids
+    |> Array.of_list
+  in
+  let t = { Trace.events = [||]; tags = [||]; dropped = 0; cores = [||]; lines; names = [] } in
+  let key (l : Trace.line_stat) = (-(l.transfer_ns + l.stall_ns), l.line) in
+  let sorted = List.sort (fun a b -> compare (key a) (key b)) (Array.to_list lines) in
+  List.map key (Metrics.hottest ~n t) = List.map key (List.filteri (fun i _ -> i < n) sorted)
+
+let test_hottest_prefix =
+  prop "Metrics.hottest = prefix of a full sort" ~count:500
+    ~print:(fun (heats, ids, n) ->
+      Printf.sprintf "n %d, lines [%s]" n
+        (String.concat "; "
+           (List.map2 (fun (tns, st) id -> Printf.sprintf "%d:%d+%d" id tns st) heats ids)))
+    hottest_gen hottest_is_sorted_prefix
 
 (* The guard's probe tags are interned first, so a probe reclassifies by
    its tag id alone. *)
@@ -569,7 +603,8 @@ let test_checker_reports_cycle () =
 
 (* The gate follows the calling domain's sink: off with none installed,
    on only in the domain that started tracing or adopted its handle, and
-   off everywhere once the sink is stopped.  (Its one-load fast path is a
+   off everywhere once the sink is stopped, even in a domain that still
+   holds it or adopts it afterwards.  (Its one-load fast path is a
    count of the domains holding a sink; a domain that adopts and hands the
    sink back must leave that count where it found it.) *)
 let test_enabled_gate () =
@@ -589,11 +624,24 @@ let test_enabled_gate () =
         (on, Trace.enabled ()))
   in
   check Alcotest.(pair bool bool) "on once adopted, off once handed back" (true, false) adopted;
+  let holding = Semaphore.Binary.make false and stopped = Semaphore.Binary.make false in
+  let holder =
+    Domain.spawn (fun () ->
+        Trace.adopt h;
+        let before = Trace.enabled () in
+        Semaphore.Binary.release holding;
+        Semaphore.Binary.acquire stopped;
+        (before, Trace.enabled ()))
+  in
+  Semaphore.Binary.acquire holding;
   ignore (Trace.stop () : Trace.t);
+  Semaphore.Binary.release stopped;
+  check Alcotest.(pair bool bool) "a domain holding the sink: on, then off after stop"
+    (true, false) (Domain.join holder);
   check Alcotest.bool "off after stop" false (Trace.enabled ());
   check Alcotest.bool "off in other domains after stop" false (in_domain Trace.enabled);
   Trace.adopt h;
-  check Alcotest.bool "on again while a stale handle is adopted" true (Trace.enabled ());
+  check Alcotest.bool "off while a stopped handle is adopted" false (Trace.enabled ());
   Trace.adopt (in_domain Trace.active_handle);
   check Alcotest.bool "off once it is dropped" false (Trace.enabled ())
 
@@ -608,6 +656,7 @@ let suite =
     ("hottest lines sorted", `Quick, test_hottest_lines);
     ("chrome export balanced", `Quick, test_chrome_export);
     test_stop_differential;
+    test_hottest_prefix;
     ("guard probe reclassified by tag id", `Quick, test_guard_probe_reclassified);
     ("checker passes clean OCC", `Quick, test_checker_occ_clean);
     ("checker detects injected skew", `Quick, test_checker_detects_skew);

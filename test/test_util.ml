@@ -189,6 +189,23 @@ let test_zipf_skew () =
   done;
   check Alcotest.bool "hot key dominates" true (!hot > !cold)
 
+(* [Zipf.sample] builds its uniform from [Rng.bits53], so the float never
+   crosses a module boundary boxed; and it is the uniform [Rng.float]
+   draws, bit for bit. *)
+let test_zipf_allocates_nothing () =
+  let a = Rng.create () in
+  let b = Rng.copy a in
+  for _ = 1 to 1_000 do
+    let x = float_of_int (Rng.bits53 a) /. 9007199254740992.0 in
+    if x <> Rng.float b 1.0 then Alcotest.fail "bits53 and float disagree"
+  done;
+  let z = Zipf.create ~n:1000 ~theta:0.9 and rng = Rng.create () in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Zipf.sample z rng : int)
+  done;
+  check (Alcotest.float 0.0) "words over 10k samples" 0.0 (Gc.minor_words () -. w0)
+
 (* The quick-Zipf sampler (Gray et al.) is an analytic approximation of
    the exact Zipf law p_k = (1/k^theta) / zeta_n(theta).  The cluster KV
    load generator leans on its shape for contention realism, so pin the
@@ -431,6 +448,7 @@ let suite =
     test_zipf_cdf;
     ("zipf invalid args", `Quick, test_zipf_invalid);
     ("zipf single key", `Quick, test_zipf_single_key);
+    ("zipf samples allocate nothing", `Quick, test_zipf_allocates_nothing);
     ("stats summary", `Quick, test_stats_summary);
     ("stats percentile", `Quick, test_stats_percentile);
     ("stats stddev", `Quick, test_stats_stddev);

@@ -274,6 +274,51 @@ let test_chaos_primary_kill () =
   check Alcotest.bool "promotes after degrading" true (idx "DEGRADED" < idx "PROMOTED");
   check Alcotest.bool "recovers after the restart" true (idx "RESTARTED" < idx "RECOVERED")
 
+(* An unreplicated group has no backup to promote: the killed primary's
+   restart is the group's only way back, and it resumes leadership over
+   its durable store (presume-aborting its open 2PC coordination) with
+   no promotion and no snapshot.  It runs at the CLI's full-measurement
+   boundary, where seed 1 is clean (`ordo_service --spec=3xamd
+   --fault=primary_kill --sessions=200 --dur=200000 --seed=1`; other
+   seeds leak locks, see ROADMAP item 2).  The committed and message
+   counts are pinned so a rework of that takeover path cannot move them
+   silently. *)
+let test_chaos_unreplicated_restart () =
+  let spec = spec_of "3xamd" in
+  let cfg =
+    {
+      base_cfg with
+      Service.profile =
+        { base_cfg.Service.profile with Sessions.sessions = 200; dur_ns = 200_000 };
+    }
+  in
+  let fault =
+    Node_fault.primary_kill ~seed:cfg.Service.seed ~dur:200_000 ~groups:3 ~replicas:1
+  in
+  let boundary = Sim.with_fresh_instance (fun () -> (Compose.measure spec).Compose.boundary) in
+  let r, rep =
+    Sim.with_fresh_instance @@ fun () ->
+    Trace.start ~capacity:262_144 ();
+    let r = Service.run ~boundary ~fault spec cfg in
+    (r, Some (Checker.check ~boundary (Trace.stop ())))
+  in
+  assert_invariants "restart" r;
+  assert_checker "restart" rep;
+  check Alcotest.int "no promotions" 0 r.Service.promotions;
+  check Alcotest.int "no snapshots" 0 r.Service.snapshots;
+  let tl = r.Service.timeline in
+  let at p =
+    match List.find_opt (fun e -> e.Ordo_service.Chaos.phase = p) tl with
+    | Some e -> e.Ordo_service.Chaos.at
+    | None ->
+      Alcotest.failf "timeline missing %s: %s" p (String.concat " -> " (phases_of tl))
+  in
+  check Alcotest.(list string) "timeline" [ "KILLED"; "RESTARTED"; "RECOVERED" ] (phases_of tl);
+  check Alcotest.bool "restarts after the kill" true (at "KILLED" < at "RESTARTED");
+  check Alcotest.bool "recovers at the restart" true (at "RESTARTED" <= at "RECOVERED");
+  check Alcotest.int "committed" 2034 r.Service.committed;
+  check Alcotest.int "messages" 7588 r.Service.messages
+
 let test_chaos_fault_validated () =
   (* Every input [Service.run] rejects, one row each, with its message. *)
   let none = Node_fault.empty "none" in
@@ -384,6 +429,7 @@ let suite =
     test_lease_read_never_past_rts;
     test_key_write_stamp;
     case "chaos: primary killed mid-run" test_chaos_primary_kill;
+    case "chaos: unreplicated restart resumes leadership" test_chaos_unreplicated_restart;
     case "chaos: fault scenarios validated" test_chaos_fault_validated;
     case "checker report pinned on the seed-12 run" test_seed12_report;
   ]

@@ -1275,14 +1275,7 @@ let service ~full =
     let rep = Checker.check ~boundary:c.Compose.boundary (Trace.stop ()) in
     (r, rep)
   in
-  let invariants (r : Svc.result) =
-    if
-      r.Svc.issued = r.Svc.committed + r.Svc.failed
-      && r.Svc.sum_values = r.Svc.expected_sum
-      && r.Svc.locks_left = 0 && r.Svc.divergence = 0
-    then "ok"
-    else "VIOLATED"
-  in
+  let invariants r = if Svc.violations r = [] then "ok" else "VIOLATED" in
   let verdict (rep : Checker.report) =
     if Checker.ok rep then "ok"
     else Printf.sprintf "%d violations" (List.length rep.Checker.violations)

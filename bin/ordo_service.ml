@@ -85,35 +85,21 @@ let report_cell c =
       (fun e -> print_endline ("  " ^ Chaos.describe_event e))
       r.Service.timeline
   end;
-  let ok = ref true in
-  let fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        ok := false;
-        print_endline ("INVARIANT FAILED: " ^ s))
-      fmt
-  in
-  if r.Service.issued <> r.Service.committed + r.Service.failed then
-    fail "%d issued but %d committed + %d failed" r.Service.issued
-      r.Service.committed r.Service.failed;
-  if r.Service.sum_values <> r.Service.expected_sum then
-    fail "conservation: sum %d, expected %d (lost or duplicated commits)"
-      r.Service.sum_values r.Service.expected_sum;
-  if r.Service.locks_left <> 0 then fail "%d locks leaked" r.Service.locks_left;
-  if r.Service.divergence <> 0 then
-    fail "%d replica divergences" r.Service.divergence;
-  if !ok then
+  let broken = Service.violations r in
+  List.iter (fun s -> print_endline ("INVARIANT FAILED: " ^ s)) broken;
+  if broken = [] then
     Report.kv "exactly-once / conservation / locks / divergence" "all ok";
-  (match c.c_check with
-  | None -> ()
-  | Some rep ->
-    if Checker.ok rep then Report.kv "checker" "ok (0 violations)"
-    else begin
-      ok := false;
+  let checker_ok =
+    match c.c_check with
+    | None -> true
+    | Some rep ->
+      let ok = Checker.ok rep in
       Report.kv "checker"
-        (Printf.sprintf "%d violation(s)" (List.length rep.Checker.violations))
-    end);
-  !ok
+        (if ok then "ok (0 violations)"
+         else Printf.sprintf "%d violation(s)" (List.length rep.Checker.violations));
+      ok
+  in
+  broken = [] && checker_ok
 
 let run_main spec_str sessions dur epoch compare_flag fault_name seed jobs no_check
     =

@@ -39,7 +39,8 @@
      coordinator-side preparation: decisions flush before they ship, so
      no decision in the replicated prefix means no participant has one
      either.  Decisions retransmit until acknowledged; the participant
-     dedups by txid.
+     dedups by txid.  Promotion and the unreplicated restart take over
+     through one path ([take_lead]).
 
    - Stream identity.  A promotion reuses the dead primary's sequence
      space from the promoted node's applied position; the [Promoted]
@@ -72,6 +73,8 @@ module IntTbl = Hashtbl.Make (struct
   let equal = Int.equal
   let hash = Fun.id
 end)
+
+let sorted_keys tbl = List.sort Int.compare (IntTbl.fold (fun k _ acc -> k :: acc) tbl [])
 
 (* [List.iter f (List.rev l)] without building the reversed list: the
    service buffers newest first and ships oldest first. *)
@@ -214,7 +217,6 @@ type nstate = {
   n_prep : prep IntTbl.t;
   n_decided : bool IntTbl.t;  (* txid -> commit? *)
   n_unacked : undec IntTbl.t;
-  n_inflight : int IntTbl.t;  (* rid -> txid (coordinator side) *)
   n_exec : unit IntTbl.t;
       (* rids admitted but not yet resolved (locked-key backoff, open
          2PC): a retransmit of one of these must not execute again *)
@@ -273,6 +275,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
   let base_of g = g * replicas in
   let group_of_node i = i / replicas in
   let group_of_key k = k mod groups in
+  let members g = List.init replicas (fun r -> base_of g + r) in
 
   (* ---- counters ---- *)
   let issued = ref 0 and committed = ref 0 and failed = ref 0 in
@@ -305,7 +308,6 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           n_prep = IntTbl.create 32;
           n_decided = IntTbl.create 256;
           n_unacked = IntTbl.create 32;
-          n_inflight = IntTbl.create 32;
           n_exec = IntTbl.create 32;
           n_peer_ack = IntTbl.create 4;
           n_held = Queue.create ();
@@ -327,15 +329,13 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
      the client) *)
   let views = Array.init (nodes + 1) (fun _ -> Array.init groups base_of) in
   let peers_of =
-    Array.init nodes (fun i ->
-        List.filter
-          (fun m -> m <> i)
-          (List.init replicas (fun r -> base_of (group_of_node i) + r)))
+    Array.init nodes (fun i -> List.filter (fun m -> m <> i) (members (group_of_node i)))
   in
   let peers n = peers_of.(n.n_id) in
   let rank n = n.n_id - base_of n.n_group in
   let obs_clock node = Obs.clock net node in
   let probe node name b c = Obs.probe net node name b c in
+  let reply_client src rid outcome = Net.send net ~src ~dst:client (Reply { rid; outcome }) in
 
   (* ---- client bookkeeping ---- *)
   let gen = Sessions.create ~seed:cfg.seed profile in
@@ -357,10 +357,6 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
        or the participant group drains with a lock held *)
     if n.n_role = Leader && not n.n_syncing && IntTbl.length n.n_unacked > 0
     then begin
-      let txids =
-        List.sort Int.compare
-          (IntTbl.fold (fun txid _ acc -> txid :: acc) n.n_unacked [])
-      in
       List.iter
         (fun txid ->
           match IntTbl.find_opt n.n_unacked txid with
@@ -371,7 +367,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
               u.u_tries <- u.u_tries + 1;
               send_decision n txid
             end)
-        txids;
+        (sorted_keys n.n_unacked);
       arm_rexmit n
     end
   and arm_rexmit n =
@@ -415,7 +411,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
      immediately. *)
   let send_reply n (rid, outcome) =
     IntTbl.remove n.n_unflushed rid;
-    Net.send net ~src:n.n_id ~dst:client (Reply { rid; outcome })
+    reply_client n.n_id rid outcome
   in
   let peer_ack n p = match IntTbl.find n.n_peer_ack p with s -> s | exception Not_found -> -1 in
   let rec min_ack n acc = function [] -> acc | p :: ps -> min_ack n (Int.min acc (peer_ack n p)) ps in
@@ -460,7 +456,11 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
       else Queue.add { h_wm = Replog.position n.n_log; h_probes = probes; h_replies = replies } n.n_held);
     release_held n
   in
-
+  (* Flush, then give fresh decisions their first transmission. *)
+  let flush_pump n =
+    flush n;
+    pump_decisions n
+  in
 
   (* ---- epoch publish ---- *)
   let publish n joint fns =
@@ -468,8 +468,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
       let final = obs_clock n.n_id in
       probe n.n_id "ordo.new_time" joint final;
       List.iter (fun f -> f final) fns;
-      flush n;
-      pump_decisions n
+      flush_pump n
     in
     let c = obs_clock n.n_id in
     if c > joint + boundary then fin ()
@@ -484,39 +483,64 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     n.n_flush_armed <- false;
     match Epoch.close n.n_batch with
     | Some (joint, fns) -> publish n joint fns
-    | None ->
-      flush n;
-      pump_decisions n
+    | None -> flush_pump n
   in
   (* Immediate mode flushes inline; epoch mode arms one close timer. *)
   let ensure_flush n =
-    if cfg.epoch_ns = 0 then begin
-      flush n;
-      pump_decisions n
-    end
+    if cfg.epoch_ns = 0 then flush_pump n
     else if not n.n_flush_armed then begin
       n.n_flush_armed <- true;
       Net.at net ~node:n.n_id ~delay:cfg.epoch_ns (epoch_tick n)
     end
   in
 
+  (* ---- request resolution ---- *)
+  (* Resolve admitted request [rid] with [outcome] = (ok, value delta):
+     record it in the done-table and the stream, free its execution mark
+     and admission slot, and buffer the reply.  A failure burns the rid
+     (the client reissues under a fresh one).  Callers pass a literal
+     pair, which is a static constant: the done-table entry allocates
+     nothing. *)
+  let resolve n rid ((ok, delta) as outcome) =
+    IntTbl.replace n.n_done rid outcome;
+    buffer_entry n (Replog.Done { rid; ok; delta });
+    IntTbl.remove n.n_exec rid;
+    Admission.release n.n_adm;
+    buffer_reply n rid (if ok then Done_ok else Done_fail)
+  in
+  (* Install version [ver] of key [k] at [ts] and log its absolute state. *)
+  let install n k ~ver ~ts ~delta =
+    let stk = n.n_store.(k) in
+    Key.install stk ~ver ~ts ~delta;
+    buffer_entry n
+      (Replog.Install { key = k; value = stk.Key.value; ver; wts = ts; rts = stk.Key.rts })
+  in
+  (* Lock [key] for one side of 2PC transaction [txid]. *)
+  let lock_prep n ~txid ~key ~other ~prop ~rid ~peer ~coord =
+    n.n_store.(key).Key.locked <- true;
+    IntTbl.replace n.n_prep txid
+      {
+        pr_txid = txid;
+        pr_key = key;
+        pr_other = other;
+        pr_prop = prop;
+        pr_rid = rid;
+        pr_peer = peer;
+        pr_coord = coord;
+      }
+  in
+
   (* ---- 2PC resolution ---- *)
-  (* Coordinator-side abort: release the lock and the admission slot,
-     burn the rid in the done-table (the client reissues under a fresh
-     one), and optionally chase the participant with an abort decision
-     (presumed abort / prepare timeout; a Conflict abort has no
-     participant-side lock to release). *)
+  (* Coordinator-side abort: release the lock, fail the request, and
+     optionally chase the participant with an abort decision (presumed
+     abort / prepare timeout; a Conflict abort has no participant-side
+     lock to release). *)
   let abort_tx n txid p ~notify_peer =
     n.n_store.(p.pr_key).Key.locked <- false;
     IntTbl.remove n.n_prep txid;
     IntTbl.replace n.n_decided txid false;
-    IntTbl.remove n.n_inflight p.pr_rid;
-    IntTbl.remove n.n_exec p.pr_rid;
-    IntTbl.replace n.n_done p.pr_rid (false, 0);
-    Admission.release n.n_adm;
     buffer_entry n (Replog.Decide { txid; commit = false; ts = 0; ver_b = 0 });
-    buffer_entry n (Replog.Done { rid = p.pr_rid; ok = false; delta = 0 });
-    buffer_reply n p.pr_rid Done_fail;
+    resolve n p.pr_rid (false, 0);
     if notify_peer then begin
       IntTbl.replace n.n_unacked txid
         { u_commit = false; u_ts = 0; u_ver_b = 0; u_peer = p.pr_peer; u_tries = 0 };
@@ -529,19 +553,12 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     let a = p.pr_key in
     let stk = n.n_store.(a) in
     let old = stk.Key.ver in
-    Key.install stk ~ver:(old + 1) ~ts:final ~delta:(-1);
+    install n a ~ver:(old + 1) ~ts:final ~delta:(-1);
     stk.Key.locked <- false;
     IntTbl.remove n.n_prep txid;
     IntTbl.replace n.n_decided txid true;
-    IntTbl.remove n.n_inflight p.pr_rid;
-    IntTbl.remove n.n_exec p.pr_rid;
-    IntTbl.replace n.n_done p.pr_rid (true, 0);
-    Admission.release n.n_adm;
-    buffer_entry n
-      (Replog.Install
-         { key = a; value = stk.Key.value; ver = old + 1; wts = final; rts = stk.Key.rts });
     buffer_entry n (Replog.Decide { txid; commit = true; ts = final; ver_b = ver_b + 1 });
-    buffer_entry n (Replog.Done { rid = p.pr_rid; ok = true; delta = 0 });
+    resolve n p.pr_rid (true, 0);
     let b = p.pr_other and peer = p.pr_peer in
     buffer_probe n (fun () ->
         Obs.emit_tx net n.n_id ~start_ts:tx_start
@@ -559,7 +576,6 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         IntTbl.replace n.n_unacked txid
           { u_commit = true; u_ts = final; u_ver_b = ver_b + 1; u_peer = peer; u_tries = 0 };
         n.n_to_send <- txid :: n.n_to_send);
-    buffer_reply n p.pr_rid Done_ok;
     incr cross_committed
   in
 
@@ -576,17 +592,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
       let stk = n.n_store.(key) in
       stk.Key.rts <- Int.max stk.Key.rts rts
     | Replog.Prep { txid; key; prop; rid; peer; coord } ->
-      n.n_store.(key).Key.locked <- true;
-      IntTbl.replace n.n_prep txid
-        {
-          pr_txid = txid;
-          pr_key = key;
-          pr_other = -1;
-          pr_prop = prop;
-          pr_rid = rid;
-          pr_peer = peer;
-          pr_coord = coord;
-        }
+      lock_prep n ~txid ~key ~other:(-1) ~prop ~rid ~peer ~coord
     | Replog.Decide { txid; commit; ts; ver_b } ->
       (match IntTbl.find_opt n.n_prep txid with
       | Some p ->
@@ -599,9 +605,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
             { u_commit = commit; u_ts = ts; u_ver_b = ver_b; u_peer = p.pr_peer; u_tries = 0 }
       | None -> ());
       IntTbl.replace n.n_decided txid commit
-    | Replog.Done { rid; ok; delta } ->
-      IntTbl.replace n.n_done rid (ok, delta);
-      IntTbl.remove n.n_inflight rid
+    | Replog.Done { rid; ok; delta } -> IntTbl.replace n.n_done rid (ok, delta)
     | Replog.Acked { txid } -> IntTbl.remove n.n_unacked txid
   in
 
@@ -632,6 +636,14 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     end
   in
   let start_heartbeat n = if not n.n_hb_armed then heartbeat n () in
+  (* Follow [leader] in [term]: a term of lease from our own clock, never
+     shortening the one already held. *)
+  let follow n ~leader ~term =
+    n.n_suspected <- false;
+    let c = obs_clock n.n_id in
+    n.n_lease <-
+      { Lease.holder = leader; term; until = Int.max n.n_lease.Lease.until (c + term_ns) }
+  in
   let presume_abort_undecided n =
     IntTbl.fold
       (fun txid p acc ->
@@ -641,25 +653,21 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
     |> List.iter (fun (txid, p) -> abort_tx n txid p ~notify_peer:true)
   in
-  let promote n =
-    let c = obs_clock n.n_id in
+  (* The one leadership takeover, shared by a promoted backup and a
+     restarted unreplicated node: a new term whose floor clears the old
+     lease as of clock [c]; presume-abort, then chase every
+     unacknowledged decision; then a lease, announced to every node.
+     Promotion grants it at a fresh clock read once the flush is out
+     ([reread]); a restart grants it at [c]. *)
+  let take_lead n c ~reread =
     n.n_role <- Leader;
     n.n_term <- n.n_term + 1;
-    n.n_suspected <- false;
     n.n_floor <- Lease.promotion_floor ~until:n.n_lease.Lease.until ~boundary ~now:c;
-    Replog.seed_from_applied n.n_log;
-    IntTbl.reset n.n_peer_ack;  (* old-term acks refer to a forked stream *)
-    Queue.clear n.n_held;
-    incr promotions;
-    probe n.n_id "svc.promote" n.n_group n.n_term;
-    Chaos.record tl ~at:(Net.now net) ~node:n.n_id ~group:n.n_group "PROMOTED";
     presume_abort_undecided n;
-    n.n_to_send <-
-      List.sort Int.compare
-        (IntTbl.fold (fun txid _ acc -> txid :: acc) n.n_unacked []);
-    flush n;
-    pump_decisions n;
-    n.n_lease <- Lease.grant ~holder:n.n_id ~term:n.n_term ~now:(obs_clock n.n_id) ~term_ns;
+    n.n_to_send <- sorted_keys n.n_unacked;
+    flush_pump n;
+    let now = if reread then obs_clock n.n_id else c in
+    n.n_lease <- Lease.grant ~holder:n.n_id ~term:n.n_term ~now ~term_ns;
     views.(n.n_id).(n.n_group) <- n.n_id;
     let pos = Replog.position n.n_log in
     for d = 0 to nodes do
@@ -668,6 +676,17 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           (Promoted { group = n.n_group; term = n.n_term; leader = n.n_id; pos })
     done;
     start_heartbeat n
+  in
+  let promote n =
+    let c = obs_clock n.n_id in
+    n.n_suspected <- false;
+    Replog.seed_from_applied n.n_log;
+    IntTbl.reset n.n_peer_ack;  (* old-term acks refer to a forked stream *)
+    Queue.clear n.n_held;
+    incr promotions;
+    probe n.n_id "svc.promote" n.n_group (n.n_term + 1);
+    Chaos.record tl ~at:(Net.now net) ~node:n.n_id ~group:n.n_group "PROMOTED";
+    take_lead n c ~reread:true
   in
   let rec monitor n () =
     n.n_mon_armed <- false;
@@ -715,7 +734,6 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     n.n_syncing <- true;
     clear_volatile n;
     IntTbl.reset n.n_prep;
-    IntTbl.reset n.n_inflight;
     IntTbl.reset n.n_unacked;
     IntTbl.reset n.n_decided;
     IntTbl.reset n.n_done;
@@ -741,26 +759,8 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     n.n_hb_armed <- false;
     n.n_mon_armed <- false;
     if replicas = 1 then begin
-      n.n_role <- Leader;
-      n.n_term <- n.n_term + 1;
-      let c = obs_clock node in
-      n.n_floor <- Lease.promotion_floor ~until:n.n_lease.Lease.until ~boundary ~now:c;
-      presume_abort_undecided n;
-      n.n_to_send <-
-        List.sort Int.compare
-          (IntTbl.fold (fun txid _ acc -> txid :: acc) n.n_unacked []);
-      flush n;
-      pump_decisions n;
-      n.n_lease <- Lease.grant ~holder:node ~term:n.n_term ~now:c ~term_ns;
-      views.(node).(n.n_group) <- node;
-      let pos = Replog.position n.n_log in
-      for d = 0 to nodes do
-        if d <> node then
-          Net.send net ~src:node ~dst:d
-            (Promoted { group = n.n_group; term = n.n_term; leader = node; pos })
-      done;
-      Chaos.record tl ~at:(Net.now net) ~node ~group:n.n_group "RECOVERED";
-      start_heartbeat n
+      take_lead n (obs_clock node) ~reread:false;
+      Chaos.record tl ~at:(Net.now net) ~node ~group:n.n_group "RECOVERED"
     end
     else rejoin n
   in
@@ -800,20 +800,13 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         let c = obs_clock n.n_id in
         let ts = Key.write_stamp ~clock:c ~floor:n.n_floor stk in
         let old = stk.Key.ver in
-        Key.install stk ~ver:(old + 1) ~ts ~delta:1;
-        IntTbl.replace n.n_done rid (true, 1);
-        buffer_entry n
-          (Replog.Install
-             { key = k; value = stk.Key.value; ver = old + 1; wts = ts; rts = stk.Key.rts });
-        buffer_entry n (Replog.Done { rid; ok = true; delta = 1 });
+        install n k ~ver:(old + 1) ~ts ~delta:1;
+        resolve n rid (true, 1);
         if Trace.enabled () then
           buffer_probe n (fun () ->
               Obs.emit_tx net n.n_id ~start_ts:ts ~reads:[]
                 ~installs:[ (k, old + 1) ]
                 ~commit_ts:ts);
-        IntTbl.remove n.n_exec rid;
-        Admission.release n.n_adm;
-        buffer_reply n rid Done_ok;
         ensure_flush n
       end
     | Sessions.Transfer (a, b) ->
@@ -824,19 +817,8 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         let prop = Key.write_stamp ~clock:c ~floor:n.n_floor stk in
         incr txid_counter;
         let txid = !txid_counter in
-        stk.Key.locked <- true;
         let peer_group = group_of_key b in
-        IntTbl.replace n.n_prep txid
-          {
-            pr_txid = txid;
-            pr_key = a;
-            pr_other = b;
-            pr_prop = prop;
-            pr_rid = rid;
-            pr_peer = peer_group;
-            pr_coord = true;
-          };
-        IntTbl.replace n.n_inflight rid txid;
+        lock_prep n ~txid ~key:a ~other:b ~prop ~rid ~peer:peer_group ~coord:true;
         buffer_entry n
           (Replog.Prep { txid; key = a; prop; rid; peer = peer_group; coord = true });
         (* flush before sync-ship: the prepare is on the backups before
@@ -848,18 +830,12 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
             match IntTbl.find_opt n.n_prep txid with
             | Some p when p.pr_coord && not (IntTbl.mem n.n_decided txid) ->
               abort_tx n txid p ~notify_peer:true;
-              flush n;
-              pump_decisions n
+              flush_pump n
             | _ -> ())
       end
   and retry_locked n rid op tries =
     if tries >= Kv.max_retries then begin
-      (* burn the rid so the client reissues under a fresh one *)
-      IntTbl.replace n.n_done rid (false, 0);
-      buffer_entry n (Replog.Done { rid; ok = false; delta = 0 });
-      IntTbl.remove n.n_exec rid;
-      Admission.release n.n_adm;
-      buffer_reply n rid Done_fail;
+      resolve n rid (false, 0);
       ensure_flush n
     end
     else
@@ -908,6 +884,17 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     p.p_fin ok;
     maybe_stop ()
   in
+  (* Count one more attempt at [p]; true if that spent the budget, in
+     which case the client has given the op up. *)
+  let exhausted p =
+    p.p_attempts <- p.p_attempts + 1;
+    let out = p.p_attempts >= max_attempts in
+    if out then begin
+      IntTbl.remove pending p.p_rid;
+      finishp p false
+    end;
+    out
+  in
   let issue op fin =
     incr issued;
     let k =
@@ -945,13 +932,8 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
       let late = List.sort (fun a b -> Int.compare a.p_rid b.p_rid) late in
       List.iter
         (fun p ->
-          p.p_attempts <- p.p_attempts + 1;
           p.p_rot <- p.p_rot + 1;
-          if p.p_attempts >= max_attempts then begin
-            IntTbl.remove pending p.p_rid;
-            finishp p false
-          end
-          else send_req p)
+          if not (exhausted p) then send_req p)
         late;
       Net.at net ~node:client ~delay:(Int.max 1 (client_retry_ns / 2)) scan
     end
@@ -995,24 +977,21 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         if not (Lease.valid n.n_lease ~now:c) then
           (* own lease lapsed (e.g. deferred under load): shed rather
              than risk serving past it *)
-          Net.send net ~src:dst ~dst:client
-            (Reply { rid; outcome = Shed_retry heartbeat_ns })
+          reply_client dst rid (Shed_retry heartbeat_ns)
         else if IntTbl.mem n.n_unflushed rid then ()  (* reply already buffered *)
         else (
           match IntTbl.find_opt n.n_done rid with
           | Some (ok, _) ->
             (* retransmit of a resolved request: replay the outcome *)
-            Net.send net ~src:dst ~dst:client
-              (Reply { rid; outcome = (if ok then Done_ok else Done_fail) })
+            reply_client dst rid (if ok then Done_ok else Done_fail)
           | None ->
-            if IntTbl.mem n.n_inflight rid || IntTbl.mem n.n_exec rid then
+            if IntTbl.mem n.n_exec rid then
               ()  (* still executing (2PC or locked-key backoff) *)
             else (
               match Admission.admit n.n_adm ~now:(Net.now net) with
               | `Shed ra ->
                 probe dst "svc.shed" n.n_group ra;
-                Net.send net ~src:dst ~dst:client
-                  (Reply { rid; outcome = Shed_retry ra })
+                reply_client dst rid (Shed_retry ra)
               | `Admit ->
                 IntTbl.replace n.n_exec rid ();
                 Net.busy net dst Kv.op_ns;
@@ -1025,9 +1004,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           match op with
           | Sessions.Get k ->
             let stk = n.n_store.(k) in
-            if stk.Key.locked then
-              Net.send net ~src:dst ~dst:client
-                (Reply { rid; outcome = Shed_retry Kv.retry_ns })
+            if stk.Key.locked then reply_client dst rid (Shed_retry Kv.retry_ns)
             else (
               let c = obs_clock dst in
               match
@@ -1039,16 +1016,10 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
                 Obs.emit_tx net dst ~start_ts:dts
                   ~reads:[ (k, stk.Key.ver) ]
                   ~installs:[] ~commit_ts:dts;
-                Net.send net ~src:dst ~dst:client (Reply { rid; outcome = Done_ok })
-              | None ->
-                Net.send net ~src:dst ~dst:client
-                  (Reply { rid; outcome = Shed_retry (Kv.retry_ns * 4) }))
-          | _ ->
-            Net.send net ~src:dst ~dst:client
-              (Reply { rid; outcome = Shed_retry heartbeat_ns }))
-        else
-          Net.send net ~src:dst ~dst:client
-            (Reply { rid; outcome = Moved views.(dst).(n.n_group) }))
+                reply_client dst rid Done_ok
+              | None -> reply_client dst rid (Shed_retry (Kv.retry_ns * 4)))
+          | _ -> reply_client dst rid (Shed_retry heartbeat_ns))
+        else reply_client dst rid (Moved views.(dst).(n.n_group)))
     | Prepare { txid; key_b; prop; coord } ->
       Net.busy net dst (Kv.msg_ns + Kv.op_ns);
       let n = st.(dst) in
@@ -1062,22 +1033,12 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
              refuse rather than grant a prepare we may not honor *)
           Net.send net ~src:dst ~dst:coord (Conflict { txid })
         else begin
-          stk.Key.locked <- true;
           let c = obs_clock dst in
           let prop2 = Key.write_stamp ~clock:c ~floor:(Int.max prop n.n_floor) stk in
-          IntTbl.replace n.n_prep txid
-            {
-              pr_txid = txid;
-              pr_key = key_b;
-              pr_other = -1;
-              pr_prop = prop2;
-              pr_rid = 0;
-              pr_peer = group_of_node coord;
-              pr_coord = false;
-            };
+          let peer = group_of_node coord in
+          lock_prep n ~txid ~key:key_b ~other:(-1) ~prop:prop2 ~rid:0 ~peer ~coord:false;
           buffer_entry n
-            (Replog.Prep
-               { txid; key = key_b; prop = prop2; rid = 0; peer = group_of_node coord; coord = false });
+            (Replog.Prep { txid; key = key_b; prop = prop2; rid = 0; peer; coord = false });
           (* The Prepared reply rides the ack watermark: it must not
              reach the coordinator before (a) the prep is really on
              our backups and (b) every install of ours the reported
@@ -1139,14 +1100,8 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
       else begin
         (match IntTbl.find_opt n.n_prep txid with
         | Some p when not p.pr_coord ->
-          let stk = n.n_store.(p.pr_key) in
-          if commit then begin
-            Key.install stk ~ver:ver_b ~ts ~delta:1;
-            buffer_entry n
-              (Replog.Install
-                 { key = p.pr_key; value = stk.Key.value; ver = ver_b; wts = ts; rts = stk.Key.rts })
-          end;
-          stk.Key.locked <- false;
+          if commit then install n p.pr_key ~ver:ver_b ~ts ~delta:1;
+          n.n_store.(p.pr_key).Key.locked <- false;
           IntTbl.remove n.n_prep txid;
           IntTbl.replace n.n_decided txid commit;
           buffer_entry n (Replog.Decide { txid; commit; ts; ver_b });
@@ -1203,14 +1158,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         let n = st.(dst) in
         if n.n_group = group && dst <> leader && term > n.n_term then begin
           n.n_term <- term;
-          n.n_suspected <- false;
-          let c = obs_clock dst in
-          n.n_lease <-
-            {
-              Lease.holder = leader;
-              term;
-              until = Int.max n.n_lease.Lease.until (c + term_ns);
-            };
+          follow n ~leader ~term;
           if n.n_role = Leader then rejoin n  (* deposed *)
           else if (not n.n_syncing) && Replog.applied_seq n.n_log <> pos then
             (* the promotion forked the sequence space at [pos]; a
@@ -1270,23 +1218,12 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         IntTbl.reset n.n_decided;
         List.iter (fun (txid, cmt) -> IntTbl.replace n.n_decided txid cmt) decideds;
         IntTbl.reset n.n_unacked;
-        List.iter
-          (fun (txid, u) ->
-            IntTbl.replace n.n_unacked txid
-              { u_commit = u.u_commit; u_ts = u.u_ts; u_ver_b = u.u_ver_b; u_peer = u.u_peer; u_tries = 0 })
-          unackeds;
+        List.iter (fun (txid, u) -> IntTbl.replace n.n_unacked txid { u with u_tries = 0 }) unackeds;
         Replog.set_applied n.n_log seq;
         if term > n.n_term then n.n_term <- term;
         n.n_syncing <- false;
         n.n_role <- Backup;
-        n.n_suspected <- false;
-        let c = obs_clock dst in
-        n.n_lease <-
-          {
-            Lease.holder = src;
-            term = n.n_term;
-            until = Int.max n.n_lease.Lease.until (c + term_ns);
-          };
+        follow n ~leader:src ~term:n.n_term;
         incr snapshots;
         Chaos.record tl ~at:(Net.now net) ~node:dst ~group:n.n_group "RECOVERED";
         arm_monitor n
@@ -1301,9 +1238,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           finishp p true
         | Done_fail ->
           IntTbl.remove pending rid;
-          p.p_attempts <- p.p_attempts + 1;
-          if p.p_attempts >= max_attempts then finishp p false
-          else begin
+          if not (exhausted p) then begin
             (* the old rid is burned in the done-table: fresh identity *)
             incr rid_counter;
             let p2 = { p with p_rid = !rid_counter } in
@@ -1313,12 +1248,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
           end
         | Shed_retry ra ->
           incr shed_replies;
-          p.p_attempts <- p.p_attempts + 1;
-          if p.p_attempts >= max_attempts then begin
-            IntTbl.remove pending rid;
-            finishp p false
-          end
-          else begin
+          if not (exhausted p) then begin
             (* hold the scanner off until the retry fires *)
             p.p_sent_at <- Net.now net + ra;
             Net.at net ~node:client ~delay:(Int.max 1 ra) (fun () ->
@@ -1327,12 +1257,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
         | Moved leader ->
           views.(client).(p.p_group) <- leader;
           p.p_rot <- 0;
-          p.p_attempts <- p.p_attempts + 1;
-          if p.p_attempts >= max_attempts then begin
-            IntTbl.remove pending rid;
-            finishp p false
-          end
-          else send_req p))
+          if not (exhausted p) then send_req p))
   in
   Net.on_message net handler;
 
@@ -1356,9 +1281,8 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
   (* ---- results ---- *)
   let acting =
     Array.init groups (fun g ->
-        let members = List.init replicas (fun r -> base_of g + r) in
         match
-          List.filter (fun m -> Net.alive net m && st.(m).n_role = Leader) members
+          List.filter (fun m -> Net.alive net m && st.(m).n_role = Leader) (members g)
         with
         | l :: _ -> l
         | [] -> base_of g)
@@ -1384,7 +1308,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
                  || st.(m).n_store.(k).Key.ver <> l.n_store.(k).Key.ver)
             then incr divergence
           done)
-      (List.init replicas (fun r -> base_of g + r))
+      (members g)
   done;
   let per_group =
     Array.init groups (fun g ->
@@ -1396,7 +1320,7 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
               g_depth_hw = Int.max acc.g_depth_hw (Admission.depth_hw st.(m).n_adm);
             })
           { g_admitted = 0; g_shed = 0; g_depth_hw = 0 }
-          (List.init replicas (fun r -> base_of g + r)))
+          (members g))
   in
   let sum_over f = Array.fold_left (fun acc n -> acc + f n) 0 st in
   let lats = Array.sub !lats 0 !n_lats in
@@ -1445,3 +1369,15 @@ let run ~boundary ?(fault = Node_fault.empty "none") spec cfg =
     per_group;
     timeline = Chaos.events tl;
   }
+
+let violations r =
+  let v = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> v := s :: !v) fmt in
+  if r.issued <> r.committed + r.failed then
+    fail "%d issued but %d committed + %d failed" r.issued r.committed r.failed;
+  if r.sum_values <> r.expected_sum then
+    fail "conservation: sum %d, expected %d (lost or duplicated commits)" r.sum_values
+      r.expected_sum;
+  if r.locks_left <> 0 then fail "%d locks leaked" r.locks_left;
+  if r.divergence <> 0 then fail "%d replica divergences" r.divergence;
+  List.rev !v

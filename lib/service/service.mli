@@ -97,3 +97,9 @@ val run :
     optional chaos scenario (validated against the spec's node count).
     Raises [Invalid_argument] on fewer than 2 groups, a negative
     boundary or epoch, or an invalid fault scenario. *)
+
+val violations : result -> string list
+(** The end-state invariants a run promises, one message per breach, in
+    this order: every issued op committed or failed (exactly-once at the
+    client), the value sum conserved, no lock left held, no live replica
+    diverged from its group's leader.  [[]] means all four hold. *)

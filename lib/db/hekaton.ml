@@ -37,7 +37,7 @@ module Make (R : Ordo_runtime.Runtime_intf.S) (T : Ordo_core.Timestamp.S) : Cc_i
     mutable start_ts : int;
     mutable rset : (row * version) list;  (* version observed *)
     mutable wlocked : (int * row) list;  (* key, row — locked, version appended *)
-    wvals : (int, int) Hashtbl.t;
+    wvals : Txset.t;  (* write set only *)
     mutable commits : int;
     mutable aborts : int;
     rows : row array;
@@ -56,7 +56,7 @@ module Make (R : Ordo_runtime.Runtime_intf.S) (T : Ordo_core.Timestamp.S) : Cc_i
         start_ts = 0;
         rset = [];
         wlocked = [];
-        wvals = Hashtbl.create 16;
+        wvals = Txset.create ();
         commits = 0;
         aborts = 0;
         rows;
@@ -69,7 +69,7 @@ module Make (R : Ordo_runtime.Runtime_intf.S) (T : Ordo_core.Timestamp.S) : Cc_i
     tx.start_ts <- T.after tx.start_ts;
     tx.rset <- [];
     tx.wlocked <- [];
-    Hashtbl.reset tx.wvals;
+    Txset.clear tx.wvals;
     R.probe "tx.begin" tx.start_ts 0;
     tx
 
@@ -81,13 +81,16 @@ module Make (R : Ordo_runtime.Runtime_intf.S) (T : Ordo_core.Timestamp.S) : Cc_i
         R.write row.lock 0)
       tx.wlocked
 
-  let fail (tx : ctx) =
+  let abort (tx : ctx) =
     unlock_all tx;
     tx.rset <- [];
     tx.wlocked <- [];
-    Hashtbl.reset tx.wvals;
+    Txset.clear tx.wvals;
     tx.aborts <- tx.aborts + 1;
-    R.probe "tx.abort" 0 0;
+    R.probe "tx.abort" 0 0
+
+  let fail (tx : ctx) =
+    abort tx;
     raise Abort
 
   (* Visibility at [ts], skipping our own uncommitted versions.  Raises
@@ -113,9 +116,9 @@ module Make (R : Ordo_runtime.Runtime_intf.S) (T : Ordo_core.Timestamp.S) : Cc_i
     List.find_opt visible chain
 
   let read (tx : ctx) key =
-    match Hashtbl.find_opt tx.wvals key with
-    | Some v -> v
-    | None ->
+    let e = Txset.find tx.wvals key in
+    if e >= 0 then Txset.value tx.wvals e
+    else
       let row = tx.rows.(key) in
       let chain = R.read row.chain in
       (match visible_at tx.tid chain tx.start_ts with
@@ -128,7 +131,7 @@ module Make (R : Ordo_runtime.Runtime_intf.S) (T : Ordo_core.Timestamp.S) : Cc_i
         v.value)
 
   let write (tx : ctx) key value =
-    if Hashtbl.mem tx.wvals key then Hashtbl.replace tx.wvals key value
+    if Txset.find tx.wvals key >= 0 then Txset.replace tx.wvals key value
     else begin
       let row = tx.rows.(key) in
       if not (R.cas row.lock 0 (tx.tid + 1)) then fail tx;
@@ -136,7 +139,7 @@ module Make (R : Ordo_runtime.Runtime_intf.S) (T : Ordo_core.Timestamp.S) : Cc_i
       R.write row.chain
         ({ vbegin = max_int; vend = max_int; value; owner = tx.tid } :: R.read row.chain);
       tx.wlocked <- (key, row) :: tx.wlocked;
-      Hashtbl.replace tx.wvals key value
+      Txset.replace tx.wvals key value
     end
 
   let commit_tx (tx : ctx) =
@@ -154,19 +157,14 @@ module Make (R : Ordo_runtime.Runtime_intf.S) (T : Ordo_core.Timestamp.S) : Cc_i
     let all_valid = List.for_all valid tx.rset in
     R.span_end "hekaton.validate";
     if not all_valid then begin
-      unlock_all tx;
-      tx.rset <- [];
-      tx.wlocked <- [];
-      Hashtbl.reset tx.wvals;
-      tx.aborts <- tx.aborts + 1;
-      R.probe "tx.abort" 0 0;
+      abort tx;
       false
     end
     else begin
       (* Install: stamp our versions, close the predecessors, prune. *)
       List.iter
         (fun (key, row) ->
-          let value = Hashtbl.find tx.wvals key in
+          let value = Txset.value tx.wvals (Txset.find tx.wvals key) in
           let chain = R.read row.chain in
           let stamped =
             List.map

@@ -16,35 +16,24 @@ module Make (R : Ordo_runtime.Runtime_intf.S) (T : Ordo_core.Timestamp.S) : Cc_i
 
   exception Abort
 
-  type row = { ver : int R.cell; data : int R.cell }
+  module Rows = Txset.Rows (R)
 
   type ctx = {
     tid : int;
     mutable start_ts : int;
-    mutable rset : (row * int) list;  (* row, version observed *)
-    wset : (int, int) Hashtbl.t;  (* key -> buffered value *)
+    fp : Txset.t;
     mutable commits : int;
     mutable aborts : int;
-    rows : row array;
+    rows : Rows.t;
   }
 
-  type t = { rows : row array; ctxs : ctx array }
+  type t = { rows : Rows.t; ctxs : ctx array }
   type tx = ctx
 
   let create ~threads ~rows () =
     if threads < 1 || rows < 1 then invalid_arg "Occ.create";
-    let rows = Array.init rows (fun _ -> { ver = R.cell 0; data = R.cell 0 }) in
-    let ctx tid =
-      {
-        tid;
-        start_ts = 0;
-        rset = [];
-        wset = Hashtbl.create 16;
-        commits = 0;
-        aborts = 0;
-        rows;
-      }
-    in
+    let rows = Rows.create rows in
+    let ctx tid = { tid; start_ts = 0; fp = Txset.create (); commits = 0; aborts = 0; rows } in
     { rows; ctxs = Array.init threads ctx }
 
   let begin_tx t =
@@ -55,14 +44,12 @@ module Make (R : Ordo_runtime.Runtime_intf.S) (T : Ordo_core.Timestamp.S) : Cc_i
        longer than the boundary); the logical source still pays its
        global fetch-and-add. *)
     tx.start_ts <- T.after tx.start_ts;
-    tx.rset <- [];
-    Hashtbl.reset tx.wset;
+    Txset.clear tx.fp;
     R.probe "tx.begin" tx.start_ts 0;
     tx
 
   let fail (tx : ctx) =
-    tx.rset <- [];
-    Hashtbl.reset tx.wset;
+    Txset.clear tx.fp;
     tx.aborts <- tx.aborts + 1;
     R.probe "tx.abort" 0 0;
     raise Abort
@@ -72,87 +59,58 @@ module Make (R : Ordo_runtime.Runtime_intf.S) (T : Ordo_core.Timestamp.S) : Cc_i
   let max_lock_waits = 12
 
   let read (tx : ctx) key =
-    match Hashtbl.find_opt tx.wset key with
-    | Some v -> v
-    | None ->
-      let row = tx.rows.(key) in
-      let rec snapshot tries =
-        let v1 = R.read row.ver in
-        if v1 < 0 then
-          if tries > 0 then begin
-            R.pause ();
-            snapshot (tries - 1)
-          end
-          else fail tx
-        else begin
-          let value = R.read row.data in
-          let v2 = R.read row.ver in
-          if v1 <> v2 then if tries > 0 then snapshot (tries - 1) else fail tx
-          else (v1, value)
-        end
-      in
-      let v1, value = snapshot max_lock_waits in
-      tx.rset <- (row, v1) :: tx.rset;
-      R.probe "tx.read" key v1;
-      R.work tuple_work_ns;
-      value
+    let fp = tx.fp in
+    let e = Txset.find fp key in
+    if e >= 0 then Txset.value fp e
+    else
+      match Rows.snapshot tx.rows fp key max_lock_waits with
+      | exception Exit -> fail tx
+      | value ->
+        R.probe "tx.read" key (Txset.read_ver fp (Txset.reads fp - 1));
+        R.work tuple_work_ns;
+        value
 
-  let write (tx : ctx) key v = Hashtbl.replace tx.wset key v
-  let lock_word tid = -(tid + 1)
+  let write (tx : ctx) key v = Txset.replace tx.fp key v
+
+  (* Backward validation, newest read first: every read version must be
+     unchanged and — conservatively, under an uncertain clock — certainly
+     older than the commit timestamp (uncertainty aborts, Section 4.2). *)
+  let rec valid_from (tx : ctx) commit_ts i =
+    i < 0
+    || Order.certainly_before (Txset.read_ver tx.fp i) commit_ts
+       && Rows.unchanged tx.rows tx.fp tx.tid i
+       && valid_from tx commit_ts (i - 1)
+
+  let abort_commit (tx : ctx) =
+    Rows.release tx.rows tx.fp;
+    tx.aborts <- tx.aborts + 1;
+    R.probe "tx.abort" 0 0;
+    false
 
   let commit_tx (tx : ctx) =
-    let locked = ref [] in
-    let release () = List.iter (fun (row, prev) -> R.write row.ver prev) !locked in
-    let try_lock key _ =
-      let row = tx.rows.(key) in
-      let v = R.read row.ver in
-      if v < 0 || not (R.cas row.ver v (lock_word tx.tid)) then raise Exit;
-      locked := (row, v) :: !locked
-    in
-    match Hashtbl.iter try_lock tx.wset with
-    | exception Exit ->
-      release ();
-      tx.aborts <- tx.aborts + 1;
-      R.probe "tx.abort" 0 0;
-      false
-    | () ->
+    let fp = tx.fp in
+    if not (Rows.lock_writes tx.rows fp tx.tid) then abort_commit tx
+    else begin
       (* Commit timestamp: a second allocation for the logical clock; a
          plain local clock read under Ordo (Section 4.2). *)
       let commit_ts = if T.boundary = 0 then T.advance () else T.get () in
-      let my_lock = lock_word tx.tid in
-      (* Backward validation: every read version must be unchanged and —
-         conservatively, under an uncertain clock — certainly older than
-         the commit timestamp (uncertainty aborts, Section 4.2). *)
-      let valid (row, seen) =
-        Order.certainly_before seen commit_ts
-        &&
-        let cur = R.read row.ver in
-        if cur = my_lock then
-          List.exists (fun (r, prev) -> r == row && prev = seen) !locked
-        else cur = seen
-      in
       R.span_begin "occ.validate";
-      let all_valid = List.for_all valid tx.rset in
+      let all_valid = valid_from tx commit_ts (Txset.reads fp - 1) in
       R.span_end "occ.validate";
-      if not all_valid then begin
-        release ();
-        tx.aborts <- tx.aborts + 1;
-        R.probe "tx.abort" 0 0;
-        false
-      end
+      if not all_valid then abort_commit tx
       else begin
-        Hashtbl.iter
+        Txset.iter_writes
           (fun key v ->
-            let row = tx.rows.(key) in
             R.work tuple_work_ns;
-            R.write row.data v;
-            R.write row.ver commit_ts;
+            R.write (Rows.data tx.rows key) v;
+            R.write (Rows.word tx.rows key) commit_ts;
             R.probe "tx.install" key commit_ts)
-          tx.wset;
+          fp;
         tx.commits <- tx.commits + 1;
         R.probe "tx.commit" commit_ts 0;
         true
       end
+    end
 
   let commit (tx : ctx) =
     R.span_begin "occ.commit";

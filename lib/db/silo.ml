@@ -14,135 +14,90 @@ module Make (R : Ordo_runtime.Runtime_intf.S) : Cc_intf.S = struct
   let epoch_period = 512
   let epoch_shift = 40
 
-  type row = { tid_word : int R.cell; data : int R.cell }
+  module Rows = Txset.Rows (R)
 
   type ctx = {
     tid : int;
-    mutable rset : (row * int) list;
-    wset : (int, int) Hashtbl.t;
+    fp : Txset.t;
     mutable last_tid : int;
     mutable commits : int;
     mutable aborts : int;
-    rows : row array;
+    rows : Rows.t;  (* each version word holds the row's last writer's TID *)
     epoch : int R.cell;
   }
 
-  type t = { rows : row array; ctxs : ctx array; epoch : int R.cell }
+  type t = { rows : Rows.t; ctxs : ctx array; epoch : int R.cell }
   type tx = ctx
 
   let create ~threads ~rows () =
     if threads < 1 || rows < 1 then invalid_arg "Silo.create";
     let epoch = R.cell 1 in
-    let rows = Array.init rows (fun _ -> { tid_word = R.cell 0; data = R.cell 0 }) in
+    let rows = Rows.create rows in
     let ctx tid =
-      {
-        tid;
-        rset = [];
-        wset = Hashtbl.create 16;
-        last_tid = 0;
-        commits = 0;
-        aborts = 0;
-        rows;
-        epoch;
-      }
+      { tid; fp = Txset.create (); last_tid = 0; commits = 0; aborts = 0; rows; epoch }
     in
     { rows; ctxs = Array.init threads ctx; epoch }
 
   let begin_tx t =
     let tx = t.ctxs.(R.tid ()) in
-    tx.rset <- [];
-    Hashtbl.reset tx.wset;
+    Txset.clear tx.fp;
     tx
 
   let fail (tx : ctx) =
-    tx.rset <- [];
-    Hashtbl.reset tx.wset;
+    Txset.clear tx.fp;
     tx.aborts <- tx.aborts + 1;
     raise Abort
 
   let max_lock_waits = 12
 
   let read (tx : ctx) key =
-    match Hashtbl.find_opt tx.wset key with
-    | Some v -> v
-    | None ->
-      let row = tx.rows.(key) in
-      let rec snapshot tries =
-        let v1 = R.read row.tid_word in
-        if v1 < 0 then
-          if tries > 0 then begin
-            R.pause ();
-            snapshot (tries - 1)
-          end
-          else fail tx
-        else begin
-          let value = R.read row.data in
-          let v2 = R.read row.tid_word in
-          if v1 <> v2 then if tries > 0 then snapshot (tries - 1) else fail tx
-          else (v1, value)
-        end
-      in
-      let v1, value = snapshot max_lock_waits in
-      tx.rset <- (row, v1) :: tx.rset;
-      R.work Occ.tuple_work_ns;
-      value
+    let fp = tx.fp in
+    let e = Txset.find fp key in
+    if e >= 0 then Txset.value fp e
+    else
+      match Rows.snapshot tx.rows fp key max_lock_waits with
+      | exception Exit -> fail tx
+      | value ->
+        R.work Occ.tuple_work_ns;
+        value
 
-  let write (tx : ctx) key v = Hashtbl.replace tx.wset key v
-  let lock_word tid = -(tid + 1)
+  let write (tx : ctx) key v = Txset.replace tx.fp key v
+
+  let rec valid_from (tx : ctx) i =
+    i < 0 || (Rows.unchanged tx.rows tx.fp tx.tid i && valid_from tx (i - 1))
+
+  let abort_commit (tx : ctx) =
+    Rows.release tx.rows tx.fp;
+    tx.aborts <- tx.aborts + 1;
+    false
 
   (* Only spans here: Silo's epoch-based TIDs order conflicting writes but
      not anti-dependencies, so they are not commit timestamps in the
      checker's sense — emitting tx.* probes would produce false
      edge-inversion reports. *)
   let commit_tx (tx : ctx) =
-    let locked = ref [] in
-    let release () = List.iter (fun (row, prev) -> R.write row.tid_word prev) !locked in
-    let try_lock key _ =
-      let row = tx.rows.(key) in
-      let v = R.read row.tid_word in
-      if v < 0 || not (R.cas row.tid_word v (lock_word tx.tid)) then raise Exit;
-      locked := (row, v) :: !locked
-    in
-    match Hashtbl.iter try_lock tx.wset with
-    | exception Exit ->
-      release ();
-      tx.aborts <- tx.aborts + 1;
-      false
-    | () ->
+    let fp = tx.fp in
+    if not (Rows.lock_writes tx.rows fp tx.tid) then abort_commit tx
+    else begin
       (* Serialization point: a plain read of the epoch word. *)
       let epoch = R.read tx.epoch in
-      let my_lock = lock_word tx.tid in
-      let valid (row, seen) =
-        let cur = R.read row.tid_word in
-        if cur = my_lock then List.exists (fun (r, prev) -> r == row && prev = seen) !locked
-        else cur = seen
-      in
-      if not (List.for_all valid tx.rset) then begin
-        release ();
-        tx.aborts <- tx.aborts + 1;
-        false
-      end
+      if not (valid_from tx (Txset.reads fp - 1)) then abort_commit tx
       else begin
         (* Local TID generation: no shared counter involved. *)
-        let base = epoch lsl epoch_shift in
-        let floor_tid =
-          List.fold_left (fun acc (_, seen) -> max acc seen) tx.last_tid tx.rset
-        in
-        let floor_tid = List.fold_left (fun acc (_, prev) -> max acc prev) floor_tid !locked in
-        let commit_tid = max (floor_tid + 1) base in
+        let commit_tid = max (Txset.max_seen fp tx.last_tid + 1) (epoch lsl epoch_shift) in
         tx.last_tid <- commit_tid;
-        Hashtbl.iter
+        Txset.iter_writes
           (fun key v ->
-            let row = tx.rows.(key) in
             R.work Occ.tuple_work_ns;
-            R.write row.data v;
-            R.write row.tid_word commit_tid)
-          tx.wset;
+            R.write (Rows.data tx.rows key) v;
+            R.write (Rows.word tx.rows key) commit_tid)
+          fp;
         tx.commits <- tx.commits + 1;
         if tx.tid = 0 && tx.commits mod epoch_period = 0 then
           R.write tx.epoch (R.read tx.epoch + 1);
         true
       end
+    end
 
   let commit (tx : ctx) =
     R.span_begin "silo.commit";

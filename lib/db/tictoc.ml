@@ -21,7 +21,7 @@ module Make (R : Ordo_runtime.Runtime_intf.S) : Cc_intf.S = struct
 
   type ctx = {
     mutable rset : (row * meta) list;  (* row, meta observed at read *)
-    wset : (int, int) Hashtbl.t;
+    wset : Txset.t;  (* write set only *)
     mutable commits : int;
     mutable aborts : int;
     rows : row array;
@@ -35,19 +35,19 @@ module Make (R : Ordo_runtime.Runtime_intf.S) : Cc_intf.S = struct
     let rows =
       Array.init rows (fun _ -> { meta = R.cell { wts = 0; rts = 0; locked = false }; data = R.cell 0 })
     in
-    let ctx _ = { rset = []; wset = Hashtbl.create 16; commits = 0; aborts = 0; rows } in
+    let ctx _ = { rset = []; wset = Txset.create (); commits = 0; aborts = 0; rows } in
     { rows; ctxs = Array.init threads ctx }
 
   let begin_tx t =
     let tx = t.ctxs.(R.tid ()) in
     tx.rset <- [];
-    Hashtbl.reset tx.wset;
+    Txset.clear tx.wset;
     R.probe "tx.begin" 0 0;
     tx
 
   let fail (tx : ctx) =
     tx.rset <- [];
-    Hashtbl.reset tx.wset;
+    Txset.clear tx.wset;
     tx.aborts <- tx.aborts + 1;
     R.probe "tx.abort" 0 0;
     raise Abort
@@ -55,9 +55,9 @@ module Make (R : Ordo_runtime.Runtime_intf.S) : Cc_intf.S = struct
   let max_lock_waits = 12
 
   let read (tx : ctx) key =
-    match Hashtbl.find_opt tx.wset key with
-    | Some v -> v
-    | None ->
+    let e = Txset.find tx.wset key in
+    if e >= 0 then Txset.value tx.wset e
+    else
       let row = tx.rows.(key) in
       let rec snapshot tries =
         let m1 = R.read row.meta in
@@ -80,7 +80,7 @@ module Make (R : Ordo_runtime.Runtime_intf.S) : Cc_intf.S = struct
       R.work Occ.tuple_work_ns;
       value
 
-  let write (tx : ctx) key v = Hashtbl.replace tx.wset key v
+  let write (tx : ctx) key v = Txset.replace tx.wset key v
 
   let commit_tx (tx : ctx) =
     let locked = ref [] in
@@ -93,12 +93,14 @@ module Make (R : Ordo_runtime.Runtime_intf.S) : Cc_intf.S = struct
       if m.locked || not (R.cas row.meta m { m with locked = true }) then raise Exit;
       locked := (row, m) :: !locked
     in
-    match Hashtbl.iter try_lock tx.wset with
-    | exception Exit ->
+    let abort () =
       release ();
       tx.aborts <- tx.aborts + 1;
       R.probe "tx.abort" 0 0;
       false
+    in
+    match Txset.iter_writes try_lock tx.wset with
+    | exception Exit -> abort ()
     | () ->
       (* Commit timestamp from the footprint: after every rts in the
          write set, at or after every wts in the read set.  Walking the
@@ -106,7 +108,7 @@ module Make (R : Ordo_runtime.Runtime_intf.S) : Cc_intf.S = struct
          validation work (the ~7% the paper measures), charged per
          entry. *)
       let validation_work_ns = 28 in
-      R.work (validation_work_ns * (List.length tx.rset + Hashtbl.length tx.wset));
+      R.work (validation_work_ns * (List.length tx.rset + Txset.writes tx.wset));
       let commit_ts =
         List.fold_left (fun acc (_, m) -> max acc (m.rts + 1)) 0 !locked
         |> fun base -> List.fold_left (fun acc (_, m) -> max acc m.wts) base tx.rset
@@ -130,14 +132,9 @@ module Make (R : Ordo_runtime.Runtime_intf.S) : Cc_intf.S = struct
       R.span_begin "tictoc.validate";
       let all_valid = List.for_all (fun (row, seen) -> validate_one row seen 3) tx.rset in
       R.span_end "tictoc.validate";
-      if not all_valid then begin
-        release ();
-        tx.aborts <- tx.aborts + 1;
-        R.probe "tx.abort" 0 0;
-        false
-      end
+      if not all_valid then abort ()
       else begin
-        Hashtbl.iter
+        Txset.iter_writes
           (fun key v ->
             let row = tx.rows.(key) in
             R.work Occ.tuple_work_ns;

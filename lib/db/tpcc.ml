@@ -36,13 +36,20 @@ let total_rows cfg = cfg.warehouses * per_warehouse cfg
 module Make (R : Ordo_runtime.Runtime_intf.S) (C : Cc_intf.S) = struct
   module Exec = Cc_intf.Execute (R) (C)
 
-  type t = { config : config; db : C.t; mutable order_seq : int array (* per-thread *) }
+  (* A NewOrder orders 5 to 15 items. *)
+  let max_items = 15
+
+  type t = {
+    config : config;
+    db : C.t;
+    stock_keys : int array array;  (* per thread, a NewOrder's item rows *)
+  }
 
   let create ?(config = default) ~threads () =
     {
       config;
       db = C.create ~threads ~rows:(total_rows config) ();
-      order_seq = Array.make threads 0;
+      stock_keys = Array.init threads (fun _ -> Array.make max_items 0);
     }
 
   let wh_base cfg w = w * per_warehouse cfg
@@ -66,8 +73,11 @@ module Make (R : Ordo_runtime.Runtime_intf.S) (C : Cc_intf.S) = struct
     let cfg = t.config in
     let w = Rng.int rng cfg.warehouses in
     let d = Rng.int rng cfg.districts in
-    let items = 5 + Rng.int rng 11 in
-    let stock_keys = Array.init items (fun _ -> stock_row cfg w (Rng.int rng cfg.stock)) in
+    let items = 5 + Rng.int rng (max_items - 4) in
+    let stock_keys = t.stock_keys.(tid) in
+    for i = 0 to items - 1 do
+      stock_keys.(i) <- stock_row cfg w (Rng.int rng cfg.stock)
+    done;
     Exec.run t.db (fun tx ->
         (* order-entry logic outside the footprint *)
         R.work 2_200;
@@ -75,15 +85,14 @@ module Make (R : Ordo_runtime.Runtime_intf.S) (C : Cc_intf.S) = struct
         (* district next_o_id: read-modify-write on a hot row *)
         let next_o_id = C.read tx (district_row cfg w d) in
         C.write tx (district_row cfg w d) (next_o_id + 1);
-        Array.iter
-          (fun key ->
-            let qty = C.read tx key in
-            C.write tx key (if qty > 10 then qty - 1 else qty + 91))
-          stock_keys;
+        for i = 0 to items - 1 do
+          let key = stock_keys.(i) in
+          let qty = C.read tx key in
+          C.write tx key (if qty > 10 then qty - 1 else qty + 91)
+        done;
         (* order insert into the pre-allocated ring *)
         let slot = order_row cfg w d (next_o_id mod cfg.order_slots) in
-        C.write tx slot (next_o_id lor (tid lsl 24)));
-    t.order_seq.(tid) <- t.order_seq.(tid) + 1
+        C.write tx slot (next_o_id lor (tid lsl 24)))
 
   let payment t rng _tid =
     let cfg = t.config in

@@ -13,10 +13,11 @@
    - Purely observational: recording never charges virtual time or draws
      from the simulation RNG, so a traced run has bit-identical
      [end_vtime]/event counts to an untraced one.
-   - Bounded memory: raw events go to fixed-capacity per-thread ring
-     buffers (oldest dropped first), while per-core and per-line counters
-     are maintained online at emission and therefore stay exact even when
-     the rings wrap. *)
+   - Bounded memory: raw events go to per-thread ring buffers of a fixed
+     capacity, grown by doubling past the default, that wrap (oldest
+     dropped first), while per-core and per-line counters are maintained
+     online at emission and therefore stay exact even when the rings
+     wrap. *)
 
 module Stats = Ordo_util.Stats
 module Kmerge = Ordo_util.Kmerge
@@ -131,7 +132,15 @@ type t = {
 
 let stride = 6
 
-type buf = { data : int array; mutable emitted : int }
+type buf = { mutable data : int array; mutable emitted : int }
+
+(* The default capacity, and the size in events a ring starts at when
+   its capacity is larger.  From there it doubles up to the capacity, so
+   a sink sized for its busiest thread does not hand every thread that
+   much up front.  Copying on growth costs a ring that fills its capacity
+   about as much again as filling it, which rings at or below this size
+   never pay. *)
+let first_slots = 16_384
 
 type sink = {
   capacity : int;
@@ -194,7 +203,7 @@ type handle = sink option
 let active_handle () = current ()
 let adopt h = install h
 
-let start ?(capacity = 16_384) ?(threads = 64) () =
+let start ?(capacity = first_slots) ?(threads = 64) () =
   if capacity < 1 then invalid_arg "Trace.start: capacity must be >= 1";
   if is_tracing () then invalid_arg "Trace.start: already tracing";
   let tag_ids = Hashtbl.create 32 and tag_names = Array.make 32 "" in
@@ -233,7 +242,7 @@ let buf_of s tid =
   match s.bufs.(tid) with
   | Some b -> b
   | None ->
-    let b = { data = Array.make (s.capacity * stride) 0; emitted = 0 } in
+    let b = { data = Array.make (Int.min s.capacity first_slots * stride) 0; emitted = 0 } in
     s.bufs.(tid) <- Some b;
     b
 
@@ -335,6 +344,14 @@ let emit ~tid ~time kind ~a ~b ~c =
     | Hazard -> cs.hazards <- cs.hazards + 1
     | Guard -> cs.guards <- cs.guards + 1);
     let buf = buf_of s tid in
+    let slots = Array.length buf.data / stride in
+    if buf.emitted = slots && slots < s.capacity then begin
+      let bigger = Array.make (Int.min s.capacity (2 * slots) * stride) 0 in
+      Array.blit buf.data 0 bigger 0 (slots * stride);
+      buf.data <- bigger
+    end;
+    (* Below capacity, [emitted] is under the ring's size and indexes it
+       directly; at capacity the ring wraps. *)
     let i = buf.emitted mod s.capacity * stride in
     buf.data.(i) <- Atomic.fetch_and_add s.seq 1;
     buf.data.(i + 1) <- time;

@@ -10,10 +10,11 @@
     randomness, so a traced run is bit-identical (same [end_vtime], same
     event count) to an untraced one.
 
-    Raw events land in fixed-capacity per-thread ring buffers (oldest
-    dropped first, {!t.dropped} counts the loss); per-core and per-line
-    counters are updated online at emission and stay exact even after the
-    rings wrap.
+    Raw events land in per-thread ring buffers of a fixed capacity,
+    which wrap (oldest dropped first, {!t.dropped} counts the loss); a
+    capacity above the default is reached by doubling.  Per-core and
+    per-line counters are updated online at emission and stay exact even
+    after the rings wrap.
 
     The sink is installed per domain, so concurrent simulator instances
     (the parallel bench harness runs one per domain) trace independently.
@@ -138,7 +139,8 @@ val adopt : handle -> unit
 
 val start : ?capacity:int -> ?threads:int -> unit -> unit
 (** Install the sink.  [capacity] is the per-thread ring size in events
-    (default 16384); [threads] pre-sizes the per-thread tables (they grow
+    (default 16384; a larger one is reached by doubling from 16384 as a
+    thread emits); [threads] pre-sizes the per-thread tables (they grow
     on demand).  Raises [Invalid_argument] if already tracing. *)
 
 val stop : unit -> t

@@ -198,6 +198,103 @@ let tpcc_full_mix (module C : Cc.S) =
     true
     (T.stats_commits t >= threads * 30)
 
+(* ---- transaction footprints ---- *)
+
+let qtest ?(count = 10) name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+
+(* [Txset]'s write set against Stdlib [Hashtbl] over random replace/reset
+   programs: after every step the two iterate in the same order, hold the
+   same count and agree on the step's key; at the end they agree on every
+   key in range.  Up to 400 keys, so the buckets double several times. *)
+let test_txset_matches_hashtbl =
+  qtest ~count:200 "txset: write set iterates and finds like Hashtbl"
+    QCheck2.Gen.(
+      list_size (int_range 0 600)
+        (frequency
+           [ (40, map (fun kv -> Some kv) (pair (int_range (-20) 400) (int_range 0 1000)));
+             (1, return None) ]))
+    (fun program ->
+      let fp = Ordo_db.Txset.create () and h = Hashtbl.create 16 in
+      let order_of_fp () =
+        let acc = ref [] in
+        Ordo_db.Txset.iter_writes (fun k v -> acc := (k, v) :: !acc) fp;
+        !acc
+      in
+      let order_of_h () = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [] |> List.rev in
+      let find k =
+        let e = Ordo_db.Txset.find fp k in
+        if e < 0 then None else Some (Ordo_db.Txset.value fp e)
+      in
+      let step = function
+        | Some (k, v) ->
+          Ordo_db.Txset.replace fp k v;
+          Hashtbl.replace h k v;
+          find k = Hashtbl.find_opt h k
+        | None ->
+          Ordo_db.Txset.clear fp;
+          Hashtbl.reset h;
+          true
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Ordo_db.Txset.writes fp = Hashtbl.length h
+          && List.rev (order_of_fp ()) = order_of_h ())
+        program
+      && List.for_all (fun k -> find k = Hashtbl.find_opt h k) (List.init 421 (fun i -> i - 20)))
+
+(* OCC and Silo keep a transaction's footprint in per-thread arrays, so
+   once a context has seen a footprint as large, reads and writes
+   allocate nothing, and a commit allocates only its couple of closures.
+   Measured outside a run, where cell operations are plain loads and
+   stores. *)
+let occ_like : (module Cc.S) list =
+  [
+    (module Ordo_db.Occ.Make (R) (Logical));
+    (module Ordo_db.Occ.Make (R) (Ordo_ts));
+    (module Ordo_db.Silo.Make (R));
+  ]
+
+(* The bound on one NewOrder-shaped commit (17 reads, 18 writes), in
+   minor words.  Its lock and install closures take 17. *)
+let new_order_commit_words = 24.0
+
+let test_footprint_allocation () =
+  List.iter
+    (fun (module C : Cc.S) ->
+      let db = C.create ~threads:1 ~rows:64 () in
+      (* A NewOrder footprint: the warehouse, a district read and written,
+         15 stock rows read and written, and one order row written. *)
+      let new_order tx =
+        ignore (C.read tx 0 : int);
+        C.write tx 1 (C.read tx 1 + 1);
+        for k = 10 to 24 do
+          C.write tx k (C.read tx k + 1)
+        done;
+        C.write tx 40 7
+      in
+      (* Warm the context: its arrays grow to this footprint. *)
+      for _ = 1 to 2 do
+        let tx = C.begin_tx db in
+        new_order tx;
+        ignore (C.commit tx : bool)
+      done;
+      let tx = C.begin_tx db in
+      let w0 = Gc.minor_words () in
+      new_order tx;
+      ignore (C.read tx 1 : int);
+      let access = Gc.minor_words () -. w0 in
+      Alcotest.(check (float 0.0)) (C.name ^ " reads and writes allocate nothing") 0.0 access;
+      let w0 = Gc.minor_words () in
+      let ok = C.commit tx in
+      let commit = Gc.minor_words () -. w0 in
+      Alcotest.(check bool) (C.name ^ " commits") true ok;
+      if commit > new_order_commit_words then
+        Alcotest.failf "%s: a NewOrder commit allocated %.0f minor words (bound %.0f)" C.name commit
+          new_order_commit_words)
+    occ_like
+
 (* ---- write-ahead log ---- *)
 
 let wal_flavors : (string * (module Ordo_core.Timestamp.S)) list =
@@ -253,9 +350,6 @@ let test_wal_concurrent_program_order () =
    well over the boundary, so every cross-phase record pair is
    constrained; within a phase only per-thread program order applies
    (checked by the test above). *)
-let qtest ?(count = 10) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
-
 let test_wal_skew_recovery_order =
   qtest "wal: appends beyond the boundary recover in stamp order"
     QCheck2.Gen.(pair (int_range 0 5000) (int_range 0 3000))
@@ -310,6 +404,8 @@ let suite =
     ("ycsb mixed (all)", `Quick, for_each_scheme ycsb_mixed_runs);
     ("tpcc money conservation (all)", `Quick, for_each_scheme tpcc_money_conservation);
     ("tpcc full five-transaction mix (all)", `Quick, for_each_scheme tpcc_full_mix);
+    test_txset_matches_hashtbl;
+    ("occ and silo footprints allocate nothing per access", `Quick, test_footprint_allocation);
     ("wal basics (both flavors)", `Quick, test_wal_basics);
     ("wal concurrent program order", `Quick, test_wal_concurrent_program_order);
     test_wal_skew_recovery_order;

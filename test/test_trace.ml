@@ -327,6 +327,19 @@ let test_stop_differential =
   prop "stop = per-tid suffixes sorted by (time, seq)" ~count:500 ~print:print_program
     program_gen stop_matches_reference
 
+(* Rings start at 16,384 events below a larger capacity and double up
+   to it: a tid that outgrows two doublings and then wraps past a
+   capacity that is not a power of two, beside one that stops
+   mid-growth, must still give the reference's window. *)
+let test_ring_growth () =
+  let steps =
+    List.init 120_000 (fun i ->
+        let who = if i mod 6 = 0 then 1 else 0 in
+        { who; dt = i mod 3; kind = i mod Array.length kinds; pa = i mod 10; pb = 0; pc = i mod 100 })
+  in
+  check Alcotest.bool "grown rings match the reference" true
+    (stop_matches_reference (50_000, 2, [ (0, 0); (5, 3) ], steps))
+
 (* [Metrics.hottest ~n] against the first [n] of a full sort by heat
    (transfer plus stall ns) descending, then line id.  Heats come from a
    few small values so ties are common; line ids are distinct and
@@ -656,6 +669,7 @@ let suite =
     ("hottest lines sorted", `Quick, test_hottest_lines);
     ("chrome export balanced", `Quick, test_chrome_export);
     test_stop_differential;
+    ("rings grow to their capacity, then wrap", `Quick, test_ring_growth);
     test_hottest_prefix;
     ("guard probe reclassified by tag id", `Quick, test_guard_probe_reclassified);
     ("checker passes clean OCC", `Quick, test_checker_occ_clean);

@@ -9,13 +9,14 @@ type t = { mutable a : int array }
 
 let create ?(hint = 8) () = { a = Array.make (max 1 hint) 0 }
 
+let grow t n =
+  let bigger = Array.make n 0 in
+  Array.blit t.a 0 bigger 0 (Array.length t.a);
+  t.a <- bigger
+
 let ensure t n =
   let len = Array.length t.a in
-  if n > len then begin
-    let bigger = Array.make (max n (2 * len)) 0 in
-    Array.blit t.a 0 bigger 0 len;
-    t.a <- bigger
-  end
+  if n > len then grow t (max n (2 * len))
 
 let get t i = if i < Array.length t.a then t.a.(i) else 0
 
@@ -27,10 +28,12 @@ let incr t i =
   ensure t (i + 1);
   t.a.(i) <- t.a.(i) + 1
 
-(* [join dst src]: dst := dst ⊔ src (componentwise max). *)
+(* [join dst src]: dst := dst ⊔ src (componentwise max).  [dst] grows
+   to exactly [src]'s length: doubling here would let two clocks that
+   join each other in turn double each other's buffers without bound. *)
 let join dst src =
   let n = Array.length src.a in
-  ensure dst n;
+  if n > Array.length dst.a then grow dst n;
   for i = 0 to n - 1 do
     if src.a.(i) > dst.a.(i) then dst.a.(i) <- src.a.(i)
   done

@@ -22,9 +22,11 @@ struct
      is reported — a nonzero answer admits a happens-before edge, a zero
      answer marks the caller as inside the uncertainty window.  Both are
      gated on one domain-local read and perturb nothing. *)
+  let publish t = if Race.enabled () then Race.on_publish ~tid:(R.tid ()) t
+
   let get_time () =
     let t = R.get_time () in
-    if Race.enabled () then Race.on_publish ~tid:(R.tid ()) t;
+    publish t;
     t
 
   let cmp_time t1 t2 =
@@ -32,16 +34,17 @@ struct
     if Race.enabled () then Race.on_order ~tid:(R.tid ()) t1 t2 c;
     c
 
+  (* Every reading of the wait is published, accepted or not, as
+     [get_time] would.  The detector is installed around a whole run, so
+     one check per call stands for one per reading. *)
   let new_time t =
-    let rec wait () =
-      let now = get_time () in
-      if cmp_time now t = 1 then now
-      else begin
-        R.pause ();
-        wait ()
-      end
+    let accept =
+      if Race.enabled () then (fun now ->
+        publish now;
+        cmp_time now t = 1)
+      else fun now -> Ordo_analyze.Hb.cmp ~boundary now t = 1
     in
-    let result = wait () in
+    let result = R.await_clock accept in
     R.probe "ordo.new_time" t result;
     result
 end

@@ -204,10 +204,12 @@ let check_ident ctx loc lid =
          "direct hardware-clock read '%s': outside lib/clock and lib/core, timestamps \
           must come from an Ordo_core.Timestamp source"
          (String.concat "." (Longident.flatten lid)))
-  else if name = "get_time" then
+  else if name = "get_time" || name = "await_clock" then
     report ctx loc rule_raw_get_time
-      "raw get_time in a substrate: allocate stamps through the Timestamp parameter \
-       (T.get / T.after) so the boundary guard and the race detector see them"
+      (Printf.sprintf
+         "raw %s in a substrate: allocate stamps through the Timestamp parameter (T.get / \
+          T.after) so the boundary guard and the race detector see them"
+         name)
   else if atomic_path mods then
     report ctx loc rule_atomic
       (Printf.sprintf

@@ -25,8 +25,9 @@
       everything above the primitive must take timestamps from an
       [Ordo_core.Timestamp.S].
 
-    - [raw-get-time] — a [get_time] call (typically [R.get_time])
-      inside a substrate ([lib/rlu], [lib/stm], [lib/db], [lib/oplog]):
+    - [raw-get-time] — a [get_time] or [await_clock] call (typically
+      [R.get_time], or [R.await_clock] waiting on the raw clock) inside a
+      substrate ([lib/rlu], [lib/stm], [lib/db], [lib/oplog]):
       substrates are parameterized over [Timestamp.S] and must allocate
       stamps through it ([T.get]/[T.after]), or the detector and the
       guard never see the stamp.

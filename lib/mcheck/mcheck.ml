@@ -142,6 +142,7 @@ module Runtime : Ordo_runtime.Runtime_intf.S = struct
 
   let now () = (rt ()).step_no
   let pause () = op k_pause (-1) (fun () -> ())
+  let await_clock accept = Ordo_runtime.Runtime_intf.poll_clock ~get_time ~pause accept
   let work _ = ()
   let fence () = op k_fence (-1) (fun () -> ())
 

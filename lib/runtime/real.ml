@@ -29,6 +29,7 @@ module Runtime : Runtime_intf.S = struct
   let get_time () = Ordo_clock.Clock.Host.get_time ()
   let now () = Ordo_clock.Tsc.mono_ns ()
   let pause () = Ordo_clock.Tsc.cpu_relax ()
+  let await_clock accept = Runtime_intf.poll_clock ~get_time ~pause accept
 
   let work n =
     if n > 0 then begin

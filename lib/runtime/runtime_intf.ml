@@ -52,6 +52,17 @@ module type S = sig
       simulator injects per-socket skew, exactly the hazard Ordo exists to
       manage. *)
 
+  val await_clock : (int -> bool) -> int
+  (** [await_clock accept] reads the clock ({!get_time}) until [accept]
+      takes a reading, {!pause}s between reads, and returns the accepted
+      reading.  It costs and traces exactly what that loop written out
+      with {!get_time} and {!pause} would.
+
+      [accept] must be pure apart from observational hooks (the race
+      detector's), and must not call the runtime: in the simulator it
+      runs in scheduler context, between events, where no fiber of the
+      calling thread is running to perform an operation. *)
+
   val now : unit -> int
   (** Reference monotonic time in ns (virtual time in the simulator, the
       host monotonic clock for real).  For measuring durations only —
@@ -88,6 +99,22 @@ module type S = sig
   (** [probe tag a b] records an instant event with two integer payload
       words — e.g. [probe "tx.commit" commit_ts 0]. *)
 end
+
+(* The reference clock wait: read, and pause between reads, until
+   [accept] takes a reading.  [Real] and [Mcheck] implement
+   [S.await_clock] as this loop; the simulator runs it outside a run and
+   under a hazard scenario, and otherwise takes the same steps from its
+   dispatch loop. *)
+let poll_clock ~get_time ~pause accept =
+  let rec go () =
+    let v = get_time () in
+    if accept v then v
+    else begin
+      pause ();
+      go ()
+    end
+  in
+  go ()
 
 (** Launching a set of threads on specific hardware threads.  The boundary
     measurement needs explicit placement (it measures a specific core

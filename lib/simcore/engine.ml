@@ -23,8 +23,20 @@ type 'a cell = {
    and resume value are stored in the record itself ([ev_k]/[ev_v], via
    [Obj] — the pairing is re-established at the single dispatch site), so
    parking a fiber writes two fields and resuming it allocates nothing.
-   One-shot events with no fiber (thread start, hazard fire) are pseudo
-   threads whose [thunk] flag routes dispatch to a stored closure. *)
+   [kind] says what the next dispatch does with the record:
+
+   - [k_resume]: continue [ev_k] with [ev_v];
+   - [k_thunk]: run [ev_k] as a [unit -> unit] — one-shot events with no
+     fiber yet (thread start, hazard fire);
+   - [k_await_read], [k_await_check]: the thread waits in [await_clock]
+     and the dispatch loop takes its next step without resuming the
+     fiber — read the clock, or judge the reading in [ev_v] with
+     [pred]. *)
+let k_resume = 0
+let k_thunk = 1
+let k_await_read = 2
+let k_await_check = 3
+
 type thread = {
   id : int;
   mutable time : int;
@@ -32,9 +44,10 @@ type thread = {
   mutable finished : bool;
   smt_factor : float;  (* compute slowdown from co-resident SMT threads *)
   reset : int;  (* invariant-clock start offset of this core *)
-  mutable thunk : bool;  (* next dispatch runs [ev_k] as a [unit -> unit] *)
+  mutable kind : int;  (* what the next dispatch does; see above *)
   mutable ev_k : Obj.t;  (* parked continuation, or the start/fire closure *)
   mutable ev_v : Obj.t;  (* value to resume the parked continuation with *)
+  mutable pred : int -> bool;  (* the [await_clock] predicate while waiting *)
 }
 
 type stats = { events : int; end_vtime : int }
@@ -184,6 +197,11 @@ let[@inline] touch eng (c : _ cell) =
    effect payload: performing [E_resume v] then allocates no tuple, and
    for an immediate [v] nothing at all beyond the effect itself. *)
 type _ Effect.t += E_resume : 'a -> 'a Effect.t
+
+(* A clock wait that must park has already queued its thread (see
+   [clock_park]); the fiber only hands over its continuation, which the
+   dispatch loop continues once, with the accepted reading. *)
+type _ Effect.t += E_await : int Effect.t
 
 let cell v =
   let inst = instance () in
@@ -457,6 +475,72 @@ let work n =
 
 let fence () = ()
 
+(* ---- clock waits ----
+
+   [await_clock] takes the steps of the reference loop
+   ([Runtime_intf.poll_clock] over [get_time] and [pause]) with the same
+   costs, noise draws, trace events and horizon tests, so every step
+   happens at the same point of the global order.  Steps that finish
+   below the horizon run inline, as in [finish]; the first one that
+   cannot queues the thread in an await kind, and from then on the
+   dispatch loop takes the steps — one event per park, as before — and
+   continues the fiber once, with the accepted reading.  A parked step
+   thus costs a queue pop and push instead of a fiber resume and a fresh
+   effect.  Under a hazard scenario the thread runs the reference loop:
+   offline windows block each step in [offline_release_slow], whose walk
+   over unsorted windows may park several times within one step. *)
+
+(* What the step functions return once a step has queued the thread.
+   Readings are never negative: [clock_epoch] lifts every hazard-free
+   clock far above zero. *)
+let parked = -1
+
+let clock_park eng th kind v completion =
+  th.kind <- kind;
+  th.ev_v <- Obj.repr (v : int);
+  th.time <- completion;
+  Equeue.push eng.queue ~time:completion th;
+  parked
+
+(* One [get_time]: the same cost, draw and trace event (the ordo-core
+   tests compare whole trace streams against the explicit loop). *)
+let rec clock_read eng th accept =
+  let completion = th.time + scale th eng.machine.Machine.tsc_ns + noise eng in
+  let v = clock_value eng th completion in
+  if eng.trace then
+    Trace.emit ~tid:th.id ~time:completion Trace.Clock_read ~a:v ~b:0
+      ~c:(completion - th.time);
+  if completion < horizon eng then begin
+    th.time <- completion;
+    clock_check eng th accept v
+  end
+  else clock_park eng th k_await_check v completion
+
+(* Judge reading [v]; on a refusal, one [pause]. *)
+and clock_check eng th accept v =
+  if accept v then v
+  else begin
+    let completion = th.time + eng.machine.Machine.pause_ns in
+    if eng.trace then Trace.emit ~tid:th.id ~time:completion Trace.Pause ~a:0 ~b:0 ~c:0;
+    if completion < horizon eng then begin
+      th.time <- completion;
+      clock_read eng th accept
+    end
+    else clock_park eng th k_await_read 0 completion
+  end
+
+let await_clock accept =
+  match (instance ()).running with
+  | Some ({ hazard = None; _ } as eng) ->
+    let th = eng.cur in
+    let v = clock_read eng th accept in
+    if v <> parked then v
+    else begin
+      th.pred <- accept;
+      Effect.perform E_await
+    end
+  | _ -> Ordo_runtime.Runtime_intf.poll_clock ~get_time ~pause accept
+
 (* ---- tracing hooks (app-level spans and probes) ----
 
    These stamp the current thread's local time and cost nothing: no
@@ -492,8 +576,12 @@ let probe tag a b =
 
 (* ---- scheduler ---- *)
 
+let no_pred (_ : int) = true
+
 let fiber eng th fn =
   let open Effect.Deep in
+  (* Built once per fiber: an [E_await] allocates no handler. *)
+  let on_await = Some (fun (k : (int, unit) continuation) -> th.ev_k <- Obj.repr k) in
   match_with fn ()
     {
       retc = (fun () -> th.finished <- true);
@@ -509,6 +597,7 @@ let fiber eng th fn =
                 th.ev_k <- Obj.repr k;
                 th.ev_v <- Obj.repr v;
                 Equeue.push eng.queue ~time:completion th)
+          | E_await -> on_await
           | _ -> None);
     }
 
@@ -544,9 +633,10 @@ let run ?scenario machine jobs =
       finished = false;
       smt_factor = 1.0;
       reset = 0;
-      thunk = true;
+      kind = k_thunk;
       ev_k = Obj.repr (fn : unit -> unit);
       ev_v = Obj.repr ();
+      pred = no_pred;
     }
   in
   let dummy =
@@ -557,9 +647,10 @@ let run ?scenario machine jobs =
       finished = false;
       smt_factor = 1.0;
       reset = 0;
-      thunk = false;
+      kind = k_resume;
       ev_k = Obj.repr ();
       ev_v = Obj.repr ();
+      pred = no_pred;
     }
   in
   let eng =
@@ -606,14 +697,15 @@ let run ?scenario machine jobs =
           +. (machine.Machine.smt_slowdown
              *. float_of_int (lanes.(Topology.physical_of topo hw) - 1));
         reset = Machine.clock_reset_ns machine hw;
-        thunk = true;
+        kind = k_thunk;
         ev_k = Obj.repr ();
         ev_v = Obj.repr ();
+        pred = no_pred;
       }
     in
     (* The thread's first event runs its start closure; every later event
-       on this record is a parked continuation ([thunk] flips at the first
-       dispatch and never comes back). *)
+       on this record resumes the fiber or takes a clock-wait step ([kind]
+       leaves [k_thunk] at the first dispatch and never comes back). *)
     th.ev_k <- Obj.repr (fun () ->
         eng.cur <- th;
         fiber eng th fn);
@@ -629,17 +721,35 @@ let run ?scenario machine jobs =
       while not (Equeue.is_empty queue) do
         eng.n_events <- eng.n_events + 1;
         let th = Equeue.pop_exn queue in
-        if th.thunk then begin
-          th.thunk <- false;
-          (Obj.obj th.ev_k : unit -> unit) ()
-        end
-        else begin
+        let kind = th.kind in
+        if kind = k_resume then begin
           eng.cur <- th;
           let k : (Obj.t, unit) Effect.Deep.continuation = Obj.obj th.ev_k in
           (* [ev_v] holds the [Obj.repr] of the value the continuation
              expects; passing it back through the [Obj.t]-typed view is
              the identity at runtime. *)
           Effect.Deep.continue k th.ev_v
+        end
+        else if kind = k_thunk then begin
+          th.kind <- k_resume;
+          (Obj.obj th.ev_k : unit -> unit) ()
+        end
+        else begin
+          (* A clock-wait step, taken here with [cur] set so the
+             predicate's hooks see the waiting thread. *)
+          eng.cur <- th;
+          let v =
+            if kind = k_await_read then clock_read eng th th.pred
+            else clock_check eng th th.pred (Obj.obj th.ev_v : int)
+          in
+          if v <> parked then begin
+            th.kind <- k_resume;
+            (* Drop the predicate: a closure the record still held at
+               the next minor collection would be promoted for nothing. *)
+            th.pred <- no_pred;
+            let k : (int, unit) Effect.Deep.continuation = Obj.obj th.ev_k in
+            Effect.Deep.continue k v
+          end
         end
       done);
   (* Thread clocks only move forward, so each final [time] is that

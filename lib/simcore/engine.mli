@@ -93,6 +93,15 @@ val get_time : unit -> int
     the core's RESET offset (plus a fixed epoch), after paying the
     timestamp-instruction cost. *)
 
+val await_clock : (int -> bool) -> int
+(** [await_clock accept]: {!get_time} until [accept] takes a reading,
+    {!pause} between reads ({!Ordo_runtime.Runtime_intf.S.await_clock}).
+    Each step costs, draws and traces exactly as those calls do, at the
+    same point of the run's order; but once a step has to wait for
+    another thread, the scheduler takes the remaining steps itself and
+    resumes the fiber once, with the accepted reading.  [accept] runs in
+    scheduler context and must not call the runtime. *)
+
 val now : unit -> int
 (** True virtual time (the simulator's reference clock). *)
 

@@ -15,6 +15,7 @@ module Runtime : Runtime_intf.S = struct
   let get_time = Engine.get_time
   let now = Engine.now
   let pause = Engine.pause
+  let await_clock = Engine.await_clock
   let work = Engine.work
   let fence = Engine.fence
   let span_begin = Engine.span_begin

@@ -34,6 +34,9 @@ let cycle_stamp = Tsc.ticks ()
 (* [raw-get-time]: a substrate taking a stamp from the raw runtime. *)
 let stored_ts = R.get_time ()
 
+(* ... or waiting on it directly instead of through [T.after]. *)
+let later_ts = R.await_clock (fun now_ts -> now_ts > stored_ts)
+
 (* [poly-compare]: raw comparisons of timestamps — inside the
    uncertainty window these invent an ordering that does not exist. *)
 let newer = commit_ts > stored_ts

@@ -55,6 +55,22 @@ let test_join_is_lub =
       Vclock.leq va vj && Vclock.leq vb vj
       && ((not (Vclock.leq va vc && Vclock.leq vb vc)) || Vclock.leq vj vc))
 
+(* Two clocks of different lengths joining each other in turn keep the
+   longer one's size: a join that doubled its destination would make
+   them double each other on every round. *)
+let test_join_bounded_growth () =
+  let a = Vclock.create () and b = Vclock.create () in
+  Vclock.set a 16 1;
+  Vclock.set b 31 1;
+  for _ = 1 to 8 do
+    Vclock.join a b;
+    Vclock.join b a
+  done;
+  let words v = Obj.reachable_words (Obj.repr v) in
+  Alcotest.(check bool) (Printf.sprintf "a stays small (%d words)" (words a)) true (words a <= 40);
+  Alcotest.(check bool) (Printf.sprintf "b stays small (%d words)" (words b)) true (words b <= 40);
+  Alcotest.(check (list int)) "value is the join" (Vclock.to_list b) (Vclock.to_list a)
+
 (* ---- epoch covered-test vs full-vector-clock reference ----
 
    The detector stores only the last writer's own component (a FastTrack
@@ -328,6 +344,7 @@ let suite =
     test_leq_antisym;
     test_join_is_lub;
     test_epoch_equals_full_vc;
+    case "join growth stays bounded" test_join_bounded_growth;
     case "blind cross-thread write conflicts" test_blind_write_conflicts;
     case "rmw lock handoff is ordered" test_rmw_handoff_is_ordered;
     case "spin-read handoff is ordered" test_read_handoff_is_ordered;

@@ -60,6 +60,19 @@ let test_raw_get_time_fires () =
   check Alcotest.(list string) "T.get is the idiom" []
     (rules_of (diags ~file:"lib/rlu/x.ml" "let stamp () = T.get ()"))
 
+let test_raw_await_clock_fires () =
+  (* Waiting on the raw clock bypasses T.after just as reading it
+     bypasses T.get. *)
+  let scoped file src = rules_of (diags ~all_rules:false ~file src) in
+  check Alcotest.(list string) "flagged in lib/oplog" [ "raw-get-time" ]
+    (scoped "lib/oplog/x.ml" "let stamp t = R.await_clock (fun v -> T.cmp v t = 1)");
+  check Alcotest.(list string) "flagged in lib/db" [ "raw-get-time" ]
+    (scoped "lib/db/x.ml" "let wait = R.await_clock");
+  check Alcotest.(list string) "T.after is the idiom" []
+    (scoped "lib/oplog/x.ml" "let stamp t = T.after t");
+  check Alcotest.(list string) "the primitive itself may wait" []
+    (scoped "lib/core/ordo.ml" "let new_time t = R.await_clock (fun v -> cmp_time v t = 1)")
+
 let test_atomic_confinement_fires () =
   let ds = diags ~file:"lib/oplog/x.ml" "let c = Atomic.make 0" in
   check Alcotest.(list string) "fires" [ "atomic-confinement" ] (rules_of ds);
@@ -170,6 +183,7 @@ let suite =
     case "uncertainty bindings suppress cmp-zero" test_cmp_zero_uncertain_binding_suppresses;
     case "raw clock reads fire" test_raw_clock_fires;
     case "raw get_time in substrates fires" test_raw_get_time_fires;
+    case "raw await_clock in substrates fires" test_raw_await_clock_fires;
     case "atomic confinement fires" test_atomic_confinement_fires;
     case "atomic confinement scoping" test_atomic_confinement_scoping;
     case "path scoping" test_path_scoping;

@@ -309,6 +309,28 @@ let test_runtime_outside_check_raises () =
   Alcotest.check_raises "cell outside check"
     (Failure "Mcheck.Runtime used outside Mcheck.check") (fun () -> ignore (R.cell 0))
 
+(* [Ordo.new_time] waits through [await_clock], which the controlled
+   runtime runs as the read/pause loop: one thread stamps and publishes,
+   the other waits past the stamp it sees, under a skew below the
+   boundary.  Every interleaving must order the second stamp certainly
+   after the first. *)
+let test_await_clock_orders () =
+  let module O = Ordo_core.Ordo.Make (R) (struct let boundary = 3 end) in
+  let init () = (R.cell 0, R.cell 0) in
+  let stamp (published, _) = R.write published (O.new_time (O.get_time ())) in
+  let follow (published, seen) =
+    let t = R.read published in
+    if t > 0 then R.write seen (O.new_time t)
+  in
+  let prop (published, seen) =
+    let t = R.read published and s = R.read seen in
+    s = 0 || O.cmp_time s t = 1
+  in
+  check_verified "await_clock"
+    (Mcheck.check
+       ~config:{ (cfg ()) with Mcheck.skew = [| 0; 2 |] }
+       ~init ~threads:[ stamp; follow ] ~prop ())
+
 let suite =
   [
     Alcotest.test_case "racy counter found + replays" `Quick test_racy_counter_found;
@@ -329,4 +351,5 @@ let suite =
     Alcotest.test_case "lin combinator accept/reject" `Quick test_lin_combinator;
     Alcotest.test_case "lin: locked counter linearizable" `Quick test_lin_spinlock_counter;
     Alcotest.test_case "runtime outside check raises" `Quick test_runtime_outside_check_raises;
+    Alcotest.test_case "await_clock orders stamps" `Quick test_await_clock_orders;
   ]

@@ -300,6 +300,145 @@ let test_pairwise_new_time () =
            if P.cmp_time ~c1:0 nt ~c2:1 t <> 1 then Alcotest.fail "pairwise new_time not certain"
          end))
 
+(* ---- await_clock against the reference loop ----
+
+   [Ordo.Make]'s [new_time] waits through [R.await_clock]; [Ordo_ref]
+   spells the same wait out as get_time/pause calls.  Both must give the
+   same run: stamps, event count, end time, trace stream and race
+   verdict.  Xeon at 120 threads with four times the preset's interrupt
+   noise, so that noise draws land inside the waits; each run gets a
+   fresh simulator instance, so both start on the same timeline. *)
+
+module Trace = Ordo_trace.Trace
+module Race = Ordo_analyze.Race
+module Scenario = Ordo_hazard.Scenario
+module Rng = Ordo_util.Rng
+
+let noisy_xeon = { Machine.xeon with Machine.noise_prob = 0.04 }
+let ref_threads = 120
+let ref_boundary = 286
+
+let ordo_pair () =
+  let module B = struct
+    let boundary = ref_boundary
+  end in
+  ( (module Ordo.Make (R) (B) : Ordo.S),
+    (module Ordo_ref.Make (R) (B) : Ordo.S) )
+
+(* Each thread waits past the larger of its own clock and a stamp some
+   other thread published, so waits span cross-socket skew, then
+   publishes its result and does some private work. *)
+let stamp_run ?scenario (module O : Ordo.S) =
+  Sim.with_fresh_instance (fun () ->
+      let slots = Array.init 8 (fun _ -> R.cell 0) in
+      let stamps = Array.make ref_threads [] in
+      let stats =
+        Sim.run ?scenario noisy_xeon ~threads:ref_threads (fun i ->
+            let rng = Rng.create ~seed:(Int64.of_int (i + 1)) () in
+            for _ = 1 to 12 do
+              let peer = R.read slots.(Rng.int rng 8) in
+              let t = O.new_time (Int.max peer (O.get_time ())) in
+              R.write slots.(i mod 8) t;
+              stamps.(i) <- t :: stamps.(i);
+              R.work (Rng.int rng 300)
+            done)
+      in
+      (stats, stamps))
+
+let traced f =
+  Trace.start ~threads:ref_threads ();
+  let r = f () in
+  let t = Trace.stop () in
+  (r, t)
+
+let check_same_run name (s1, st1) (s2, st2) =
+  Alcotest.(check int) (name ^ ": events") s2.Ordo_sim.Engine.events s1.Ordo_sim.Engine.events;
+  Alcotest.(check int) (name ^ ": end_vtime") s2.Ordo_sim.Engine.end_vtime
+    s1.Ordo_sim.Engine.end_vtime;
+  Alcotest.(check bool) (name ^ ": stamps") true (st1 = st2)
+
+let check_same_trace name (t1 : Trace.t) (t2 : Trace.t) =
+  Alcotest.(check int) (name ^ ": trace length") (Array.length t2.Trace.events)
+    (Array.length t1.Trace.events);
+  Alcotest.(check int) (name ^ ": dropped") t2.Trace.dropped t1.Trace.dropped;
+  Alcotest.(check bool) (name ^ ": trace stream") true (t1.Trace.events = t2.Trace.events);
+  Alcotest.(check bool) (name ^ ": tags") true (t1.Trace.tags = t2.Trace.tags)
+
+let test_await_matches_ref () =
+  let o, r = ordo_pair () in
+  check_same_run "untraced" (stamp_run o) (stamp_run r);
+  let run_o, t_o = traced (fun () -> stamp_run o) in
+  let run_r, t_r = traced (fun () -> stamp_run r) in
+  check_same_run "traced" run_o run_r;
+  check_same_trace "traced" t_o t_r;
+  Alcotest.(check bool) "the waits park" true
+    (Array.exists (fun (e : Trace.event) -> e.Trace.kind = Trace.Pause) t_o.Trace.events)
+
+let test_await_matches_ref_race () =
+  let o, r = ordo_pair () in
+  let analyzed m =
+    Race.start ~boundary:ref_boundary ~threads:ref_threads ();
+    let run = stamp_run m in
+    (run, Race.stop ())
+  in
+  let run_o, rep_o = analyzed o in
+  let run_r, rep_r = analyzed r in
+  check_same_run "race" run_o run_r;
+  Alcotest.(check bool) "stamps published" true (rep_o.Race.published > 0);
+  Alcotest.(check bool) "same race report" true (rep_o = rep_r)
+
+(* Offline windows on two cores (one pair overlapping) and a migration
+   across sockets: under a scenario the engine runs the reference loop
+   itself, which must still agree with the explicit one. *)
+let test_await_matches_ref_hazard () =
+  let scenario =
+    {
+      Scenario.name = "await";
+      events =
+        [
+          { Scenario.at = 2_000; action = Scenario.Offline { core = 3; dur_ns = 3_000; resync_ns = 40 } };
+          { Scenario.at = 3_500; action = Scenario.Offline { core = 3; dur_ns = 1_000; resync_ns = 0 } };
+          { Scenario.at = 2_500; action = Scenario.Migrate { thread = 7; target = 100 } };
+          { Scenario.at = 4_000; action = Scenario.Offline { core = 40; dur_ns = 2_000; resync_ns = 10 } };
+        ];
+    }
+  in
+  Scenario.validate noisy_xeon.Machine.topo scenario;
+  let o, r = ordo_pair () in
+  let run_o, t_o = traced (fun () -> stamp_run ~scenario o) in
+  let run_r, t_r = traced (fun () -> stamp_run ~scenario r) in
+  check_same_run "hazard" run_o run_r;
+  check_same_trace "hazard" t_o t_r;
+  Alcotest.(check bool) "hazards fired" true
+    (Array.exists (fun (e : Trace.event) -> e.Trace.kind = Trace.Hazard) t_o.Trace.events)
+
+(* The Oplog append path: every append waits in [T.after]. *)
+let test_await_matches_ref_oplog () =
+  let o, r = ordo_pair () in
+  let oplog_run (module O : Ordo.S) =
+    Sim.with_fresh_instance (fun () ->
+        let module Log = Ordo_oplog.Oplog.Make (R) (Timestamp.Ordo_source (O)) in
+        let log = Log.create ~threads:ref_threads () in
+        let stats =
+          Sim.run noisy_xeon ~threads:ref_threads (fun i ->
+              for k = 1 to 6 do
+                Log.append log ((i * 100) + k);
+                R.work 50
+              done)
+        in
+        let merged = ref [] in
+        ignore
+          (Log.synchronize log ~apply:(fun ~ts ~core op -> merged := (ts, core, op) :: !merged)
+            : int);
+        (stats, [| !merged |]))
+  in
+  let run_o, t_o = traced (fun () -> oplog_run o) in
+  let run_r, t_r = traced (fun () -> oplog_run r) in
+  check_same_run "oplog" run_o run_r;
+  check_same_trace "oplog" t_o t_r;
+  let _, merged = run_o in
+  Alcotest.(check int) "every append merged" (ref_threads * 6) (List.length merged.(0))
+
 let suite =
   [
     ("cmp_time", `Quick, test_cmp_time);
@@ -327,4 +466,8 @@ let suite =
     qcheck_cmp_antisymmetric;
     qcheck_certain_transitive;
     qcheck_new_time_under_random_skew;
+    ("await_clock = reference loop", `Quick, test_await_matches_ref);
+    ("await_clock = reference, race analysis", `Quick, test_await_matches_ref_race);
+    ("await_clock = reference, hazard scenario", `Quick, test_await_matches_ref_hazard);
+    ("await_clock = reference, oplog appends", `Quick, test_await_matches_ref_oplog);
   ]

@@ -251,12 +251,39 @@ let test_real_work_and_time () =
   let b = RealR.get_time () in
   Alcotest.(check bool) "host invariant clock nondecreasing" true (b >= a)
 
+(* ---- await_clock ---- *)
+
+(* Every substrate returns the first reading the predicate takes, and
+   asks it about each reading in turn. *)
+let test_await_clock () =
+  let await name get_time await_clock ~by =
+    let t0 = get_time () in
+    let asked = ref 0 in
+    let v =
+      await_clock (fun v ->
+          incr asked;
+          v > t0 + by)
+    in
+    Alcotest.(check bool) (name ^ ": accepted reading is past the target") true (v > t0 + by);
+    Alcotest.(check bool) (name ^ ": asked at least once") true (!asked >= 1);
+    !asked
+  in
+  ignore (await "real" RealR.get_time RealR.await_clock ~by:2_000 : int);
+  (* Outside a run the simulated clock moves 10 ns a read. *)
+  Alcotest.(check int) "sim, outside a run: one question per read" 10
+    (await "sim outside" SimR.get_time SimR.await_clock ~by:95);
+  ignore
+    (Sim.run tiny ~threads:2 (fun _ ->
+         ignore (await "sim" SimR.get_time SimR.await_clock ~by:500 : int)));
+  ()
+
 let suite =
   [
     ("barrier (sim)", `Quick, test_barrier_sim);
     ("barrier (real)", `Quick, test_barrier_real);
     ("barrier phase", `Quick, test_barrier_phase);
     ("barrier invalid", `Quick, test_barrier_invalid);
+    ("await_clock on every substrate", `Quick, test_await_clock);
     ("spinlock excludes (sim)", `Quick, test_spinlock_sim);
     ("mcs excludes (sim)", `Quick, test_mcs_sim);
     ("mcs with_lock (sim)", `Quick, test_mcs_with_lock_sim);

@@ -18,9 +18,7 @@ module Make (E : Ordo_runtime.Runtime_intf.EXEC) = struct
       and min_offset = ref max_int in
       let remote_worker () =
         for _ = 1 to runs do
-          while R.read phase <> 1 do
-            R.pause ()
-          done;
+          ignore (R.await_cell phase (fun p -> p = 1) : int);
           R.write clock (R.get_time ());
           Barrier.wait barrier
         done
@@ -29,14 +27,8 @@ module Make (E : Ordo_runtime.Runtime_intf.EXEC) = struct
         for _ = 1 to runs do
           R.write clock 0;
           R.write phase 1;
-          let observed = ref 0 in
-          while
-            observed := R.read clock;
-            !observed = 0
-          do
-            R.pause ()
-          done;
-          let delta = R.get_time () - !observed in
+          let observed = R.await_cell clock (fun v -> v <> 0) in
+          let delta = R.get_time () - observed in
           if delta < !min_offset then min_offset := delta;
           R.write phase 0;
           Barrier.wait barrier

@@ -142,7 +142,8 @@ module Runtime : Ordo_runtime.Runtime_intf.S = struct
 
   let now () = (rt ()).step_no
   let pause () = op k_pause (-1) (fun () -> ())
-  let await_clock accept = Ordo_runtime.Runtime_intf.poll_clock ~get_time ~pause accept
+  let await_clock accept = Ordo_runtime.Runtime_intf.poll ~read:get_time ~pause accept
+  let await_cell c accept = Ordo_runtime.Runtime_intf.poll ~read:(fun () -> read c) ~pause accept
   let work _ = ()
   let fence () = op k_fence (-1) (fun () -> ())
 

@@ -17,10 +17,7 @@ module Make (R : Runtime_intf.S) = struct
       R.write t.count 0;
       R.write t.gen (g + 1)
     end
-    else
-      while R.read t.gen = g do
-        R.pause ()
-      done
+    else ignore (R.await_cell t.gen (fun gen -> gen <> g) : int)
 
   (* Completed generations — every party has passed [wait] exactly
      [phase t] times.  Observational (tests, progress reporting). *)

@@ -31,9 +31,7 @@ module Make (R : Runtime_intf.S) = struct
     | None -> ()
     | Some p ->
       R.write p.next node.self;
-      while R.read node.locked do
-        R.pause ()
-      done);
+      ignore (R.await_cell node.locked not : bool));
     node
 
   let release t node =
@@ -42,14 +40,8 @@ module Make (R : Runtime_intf.S) = struct
     | None ->
       if not (R.cas t node.self None) then begin
         (* A successor won the tail exchange but has not linked in yet. *)
-        let rec find () =
-          match R.read node.next with
-          | Some s -> s
-          | None ->
-            R.pause ();
-            find ()
-        in
-        R.write (find ()).locked false
+        let succ = Option.get (R.await_cell node.next Option.is_some) in
+        R.write succ.locked false
       end
 
   let with_lock t f =

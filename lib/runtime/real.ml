@@ -29,7 +29,8 @@ module Runtime : Runtime_intf.S = struct
   let get_time () = Ordo_clock.Clock.Host.get_time ()
   let now () = Ordo_clock.Tsc.mono_ns ()
   let pause () = Ordo_clock.Tsc.cpu_relax ()
-  let await_clock accept = Runtime_intf.poll_clock ~get_time ~pause accept
+  let await_clock accept = Runtime_intf.poll ~read:get_time ~pause accept
+  let await_cell c accept = Runtime_intf.poll ~read:(fun () -> Atomic.get c) ~pause accept
 
   let work n =
     if n > 0 then begin

@@ -63,6 +63,19 @@ module type S = sig
       runs in scheduler context, between events, where no fiber of the
       calling thread is running to perform an operation. *)
 
+  val await_cell : 'a cell -> ('a -> bool) -> 'a
+  (** [await_cell c accept] reads [c] ({!read}) until [accept] takes a
+      value, {!pause}s between reads, and returns the accepted value:
+      [while not (accept (read c)) do pause () done] that also hands back
+      what it read.  Every step costs, traces and reports to the race
+      detector exactly as that loop's {!read} and {!pause} would, at the
+      same point of the run's order.
+
+      [accept] is pure and never calls the runtime.  It is called once
+      per value read, and in the simulator from scheduler context, as
+      for {!await_clock}: between events, where no fiber of the waiting
+      thread is running to perform an operation. *)
+
   val now : unit -> int
   (** Reference monotonic time in ns (virtual time in the simulator, the
       host monotonic clock for real).  For measuring durations only —
@@ -100,14 +113,14 @@ module type S = sig
       words — e.g. [probe "tx.commit" commit_ts 0]. *)
 end
 
-(* The reference clock wait: read, and pause between reads, until
-   [accept] takes a reading.  [Real] and [Mcheck] implement
-   [S.await_clock] as this loop; the simulator runs it outside a run and
+(* The reference wait: [read], and [pause] between reads, until [accept]
+   takes a value.  [Real] and [Mcheck] implement [S.await_clock] and
+   [S.await_cell] as this loop; the simulator runs it outside a run and
    under a hazard scenario, and otherwise takes the same steps from its
    dispatch loop. *)
-let poll_clock ~get_time ~pause accept =
+let poll ~read ~pause accept =
   let rec go () =
-    let v = get_time () in
+    let v = read () in
     if accept v then v
     else begin
       pause ();

@@ -29,9 +29,9 @@ type 'a cell = {
    - [k_thunk]: run [ev_k] as a [unit -> unit] — one-shot events with no
      fiber yet (thread start, hazard fire);
    - [k_await_read], [k_await_check]: the thread waits in [await_clock]
-     and the dispatch loop takes its next step without resuming the
-     fiber — read the clock, or judge the reading in [ev_v] with
-     [pred]. *)
+     or [await_cell] and the dispatch loop takes its next step without
+     resuming the fiber — read [src] (the clock or a cell), or judge the
+     value read, in [ev_v], with [pred]. *)
 let k_resume = 0
 let k_thunk = 1
 let k_await_read = 2
@@ -47,7 +47,8 @@ type thread = {
   mutable kind : int;  (* what the next dispatch does; see above *)
   mutable ev_k : Obj.t;  (* parked continuation, or the start/fire closure *)
   mutable ev_v : Obj.t;  (* value to resume the parked continuation with *)
-  mutable pred : int -> bool;  (* the [await_clock] predicate while waiting *)
+  mutable src : Obj.t;  (* what a wait reads: [clock_src], or the awaited cell *)
+  mutable pred : Obj.t;  (* the wait's [accept] while waiting, as [Obj.t -> bool] *)
 }
 
 type stats = { events : int; end_vtime : int }
@@ -198,10 +199,10 @@ let[@inline] touch eng (c : _ cell) =
    for an immediate [v] nothing at all beyond the effect itself. *)
 type _ Effect.t += E_resume : 'a -> 'a Effect.t
 
-(* A clock wait that must park has already queued its thread (see
-   [clock_park]); the fiber only hands over its continuation, which the
-   dispatch loop continues once, with the accepted reading. *)
-type _ Effect.t += E_await : int Effect.t
+(* A wait that must park has already queued its thread (see
+   [wait_park]); the fiber only hands over its continuation, which the
+   dispatch loop continues once, with the accepted value. *)
+type _ Effect.t += E_await : Obj.t Effect.t
 
 let cell v =
   let inst = instance () in
@@ -340,19 +341,42 @@ let[@inline] scale th ns =
 
 (* ---- operations ---- *)
 
+(* The steps a wait shares with [read], [get_time] and [pause]: each
+   prices, draws and hooks its operation; the caller finishes or parks.
+   The read steps return the value and leave the completion instant in
+   [th.park], so no tuple is built. *)
+let[@inline] load eng th c =
+  touch eng c;
+  let completion =
+    if c.owner = th.id || sharer_mem c th.id then th.time + eng.machine.Machine.l1_ns
+    else read_miss eng th c
+  in
+  if eng.analyze then Race.on_read ~tid:th.id ~line:c.lid ~time:completion;
+  th.park <- completion;
+  c.v
+
+let[@inline] clock_load eng th =
+  let completion = th.time + scale th eng.machine.Machine.tsc_ns + noise eng in
+  let value = clock_value eng th completion in
+  if eng.trace then
+    Trace.emit ~tid:th.id ~time:completion Trace.Clock_read ~a:value ~b:0
+      ~c:(completion - th.time);
+  th.park <- completion;
+  value
+
+let[@inline] pause_completion eng th =
+  let completion = th.time + eng.machine.Machine.pause_ns in
+  if eng.trace then Trace.emit ~tid:th.id ~time:completion Trace.Pause ~a:0 ~b:0 ~c:0;
+  completion
+
 let read c =
   match (instance ()).running with
   | None -> c.v
   | Some eng ->
     let th = eng.cur in
     offline_release eng th;
-    touch eng c;
-    let completion =
-      if c.owner = th.id || sharer_mem c th.id then th.time + eng.machine.Machine.l1_ns
-      else read_miss eng th c
-    in
-    if eng.analyze then Race.on_read ~tid:th.id ~line:c.lid ~time:completion;
-    finish eng th c.v completion
+    let v = load eng th c in
+    finish eng th v th.park
 
 let write c x =
   match (instance ()).running with
@@ -435,12 +459,8 @@ let get_time () =
   | Some eng ->
     let th = eng.cur in
     offline_release eng th;
-    let completion = th.time + scale th eng.machine.Machine.tsc_ns + noise eng in
-    let value = clock_value eng th completion in
-    if eng.trace then
-      Trace.emit ~tid:th.id ~time:completion Trace.Clock_read ~a:value ~b:0
-        ~c:(completion - th.time);
-    finish eng th value completion
+    let value = clock_load eng th in
+    finish eng th value th.park
 
 let now () =
   match (instance ()).running with
@@ -461,9 +481,7 @@ let pause () =
   | Some eng ->
     let th = eng.cur in
     offline_release eng th;
-    let completion = th.time + eng.machine.Machine.pause_ns in
-    if eng.trace then Trace.emit ~tid:th.id ~time:completion Trace.Pause ~a:0 ~b:0 ~c:0;
-    finish eng th () completion
+    finish eng th () (pause_completion eng th)
 
 let work n =
   match (instance ()).running with
@@ -475,71 +493,86 @@ let work n =
 
 let fence () = ()
 
-(* ---- clock waits ----
+(* ---- waits ----
 
-   [await_clock] takes the steps of the reference loop
-   ([Runtime_intf.poll_clock] over [get_time] and [pause]) with the same
-   costs, noise draws, trace events and horizon tests, so every step
-   happens at the same point of the global order.  Steps that finish
-   below the horizon run inline, as in [finish]; the first one that
-   cannot queues the thread in an await kind, and from then on the
-   dispatch loop takes the steps — one event per park, as before — and
-   continues the fiber once, with the accepted reading.  A parked step
-   thus costs a queue pop and push instead of a fiber resume and a fresh
-   effect.  Under a hazard scenario the thread runs the reference loop:
-   offline windows block each step in [offline_release_slow], whose walk
-   over unsorted windows may park several times within one step. *)
+   [await_clock] and [await_cell] take the steps of the reference loop
+   ([Runtime_intf.poll] over [get_time] or [read], and [pause]) through
+   the same step functions as those operations, so every step has the
+   same cost, noise draw, trace event, race hook and horizon test, at the
+   same point of the global order.  Steps that finish below the horizon
+   run inline, as in [finish]; the first one that cannot queues the
+   thread in an await kind, and from then on the dispatch loop takes the
+   steps — one event per park, as before — and continues the fiber once,
+   with the accepted value.  A parked step thus costs a queue pop and
+   push instead of a fiber resume and a fresh effect.  The two waits
+   differ only in the read step, chosen by the wait's source.  Under a
+   hazard scenario the thread runs the reference loop: offline windows
+   block each step in [offline_release_slow], whose walk over unsorted
+   windows may park several times within one step. *)
 
-(* What the step functions return once a step has queued the thread.
-   Readings are never negative: [clock_epoch] lifts every hazard-free
-   clock far above zero. *)
-let parked = -1
+(* The source of a clock wait: every cell is a block, never this
+   immediate. *)
+let clock_src = Obj.repr 0
 
-let clock_park eng th kind v completion =
+(* What the step functions return once a step has queued the thread: a
+   private block, so no value read can be it. *)
+let parked = Obj.repr (ref ())
+
+let wait_park eng th kind v completion =
   th.kind <- kind;
-  th.ev_v <- Obj.repr (v : int);
+  th.ev_v <- v;
   th.time <- completion;
   Equeue.push eng.queue ~time:completion th;
   parked
 
-(* One [get_time]: the same cost, draw and trace event (the ordo-core
-   tests compare whole trace streams against the explicit loop). *)
-let rec clock_read eng th accept =
-  let completion = th.time + scale th eng.machine.Machine.tsc_ns + noise eng in
-  let v = clock_value eng th completion in
-  if eng.trace then
-    Trace.emit ~tid:th.id ~time:completion Trace.Clock_read ~a:v ~b:0
-      ~c:(completion - th.time);
+(* One read of [src]. *)
+let rec wait_read eng th src (accept : Obj.t -> bool) =
+  let v =
+    if src == clock_src then Obj.repr (clock_load eng th)
+    else load eng th (Obj.obj src : Obj.t cell)
+  in
+  let completion = th.park in
   if completion < horizon eng then begin
     th.time <- completion;
-    clock_check eng th accept v
+    wait_check eng th src accept v
   end
-  else clock_park eng th k_await_check v completion
+  else wait_park eng th k_await_check v completion
 
-(* Judge reading [v]; on a refusal, one [pause]. *)
-and clock_check eng th accept v =
+(* Judge the value [v]; on a refusal, one [pause]. *)
+and wait_check eng th src accept v =
   if accept v then v
   else begin
-    let completion = th.time + eng.machine.Machine.pause_ns in
-    if eng.trace then Trace.emit ~tid:th.id ~time:completion Trace.Pause ~a:0 ~b:0 ~c:0;
+    let completion = pause_completion eng th in
     if completion < horizon eng then begin
       th.time <- completion;
-      clock_read eng th accept
+      wait_read eng th src accept
     end
-    else clock_park eng th k_await_read 0 completion
+    else wait_park eng th k_await_read (Obj.repr ()) completion
+  end
+
+(* The callers view [accept] at [Obj.t]: it is applied only to values
+   that [src] yields, so the view is the identity. *)
+let await eng src (accept : Obj.t -> bool) =
+  let th = eng.cur in
+  let v = wait_read eng th src accept in
+  if v != parked then v
+  else begin
+    th.src <- src;
+    th.pred <- Obj.repr accept;
+    Effect.perform E_await
   end
 
 let await_clock accept =
   match (instance ()).running with
   | Some ({ hazard = None; _ } as eng) ->
-    let th = eng.cur in
-    let v = clock_read eng th accept in
-    if v <> parked then v
-    else begin
-      th.pred <- accept;
-      Effect.perform E_await
-    end
-  | _ -> Ordo_runtime.Runtime_intf.poll_clock ~get_time ~pause accept
+    (Obj.obj (await eng clock_src (Obj.magic (accept : int -> bool))) : int)
+  | _ -> Ordo_runtime.Runtime_intf.poll ~read:get_time ~pause accept
+
+let await_cell c accept =
+  match (instance ()).running with
+  | Some ({ hazard = None; _ } as eng) ->
+    Obj.obj (await eng (Obj.repr c) (Obj.magic (accept : _ -> bool)))
+  | _ -> Ordo_runtime.Runtime_intf.poll ~read:(fun () -> read c) ~pause accept
 
 (* ---- tracing hooks (app-level spans and probes) ----
 
@@ -576,12 +609,12 @@ let probe tag a b =
 
 (* ---- scheduler ---- *)
 
-let no_pred (_ : int) = true
+let no_pred = Obj.repr (fun (_ : Obj.t) -> true)
 
 let fiber eng th fn =
   let open Effect.Deep in
   (* Built once per fiber: an [E_await] allocates no handler. *)
-  let on_await = Some (fun (k : (int, unit) continuation) -> th.ev_k <- Obj.repr k) in
+  let on_await = Some (fun (k : (Obj.t, unit) continuation) -> th.ev_k <- Obj.repr k) in
   match_with fn ()
     {
       retc = (fun () -> th.finished <- true);
@@ -636,6 +669,7 @@ let run ?scenario machine jobs =
       kind = k_thunk;
       ev_k = Obj.repr (fn : unit -> unit);
       ev_v = Obj.repr ();
+      src = clock_src;
       pred = no_pred;
     }
   in
@@ -650,6 +684,7 @@ let run ?scenario machine jobs =
       kind = k_resume;
       ev_k = Obj.repr ();
       ev_v = Obj.repr ();
+      src = clock_src;
       pred = no_pred;
     }
   in
@@ -700,6 +735,7 @@ let run ?scenario machine jobs =
         kind = k_thunk;
         ev_k = Obj.repr ();
         ev_v = Obj.repr ();
+        src = clock_src;
         pred = no_pred;
       }
     in
@@ -735,19 +771,22 @@ let run ?scenario machine jobs =
           (Obj.obj th.ev_k : unit -> unit) ()
         end
         else begin
-          (* A clock-wait step, taken here with [cur] set so the
-             predicate's hooks see the waiting thread. *)
+          (* A wait step, taken here with [cur] set so the step's and
+             the predicate's hooks see the waiting thread. *)
           eng.cur <- th;
+          let src = th.src and accept : Obj.t -> bool = Obj.obj th.pred in
           let v =
-            if kind = k_await_read then clock_read eng th th.pred
-            else clock_check eng th th.pred (Obj.obj th.ev_v : int)
+            if kind = k_await_read then wait_read eng th src accept
+            else wait_check eng th src accept th.ev_v
           in
-          if v <> parked then begin
+          if v != parked then begin
             th.kind <- k_resume;
-            (* Drop the predicate: a closure the record still held at
-               the next minor collection would be promoted for nothing. *)
+            (* Drop the predicate and the cell: a closure or a lock node
+               the record still held at the next minor collection would
+               be promoted for nothing. *)
+            th.src <- clock_src;
             th.pred <- no_pred;
-            let k : (int, unit) Effect.Deep.continuation = Obj.obj th.ev_k in
+            let k : (Obj.t, unit) Effect.Deep.continuation = Obj.obj th.ev_k in
             Effect.Deep.continue k v
           end
         end

@@ -102,6 +102,12 @@ val await_clock : (int -> bool) -> int
     resumes the fiber once, with the accepted reading.  [accept] runs in
     scheduler context and must not call the runtime. *)
 
+val await_cell : 'a cell -> ('a -> bool) -> 'a
+(** [await_cell c accept]: {!read} [c] until [accept] takes a value,
+    {!pause} between reads ({!Ordo_runtime.Runtime_intf.S.await_cell}).
+    The same steps, and the same scheduler-side waiting, as
+    {!await_clock}; only the read step differs. *)
+
 val now : unit -> int
 (** True virtual time (the simulator's reference clock). *)
 

@@ -16,6 +16,7 @@ module Runtime : Runtime_intf.S = struct
   let now = Engine.now
   let pause = Engine.pause
   let await_clock = Engine.await_clock
+  let await_cell = Engine.await_cell
   let work = Engine.work
   let fence = Engine.fence
   let span_begin = Engine.span_begin

@@ -305,8 +305,7 @@ let test_pairwise_new_time () =
    [Ordo.Make]'s [new_time] waits through [R.await_clock]; [Ordo_ref]
    spells the same wait out as get_time/pause calls.  Both must give the
    same run: stamps, event count, end time, trace stream and race
-   verdict.  Xeon at 120 threads with four times the preset's interrupt
-   noise, so that noise draws land inside the waits; each run gets a
+   verdict, on [Same_run]'s noisy 120-thread Xeon; each run gets a
    fresh simulator instance, so both start on the same timeline. *)
 
 module Trace = Ordo_trace.Trace
@@ -314,8 +313,8 @@ module Race = Ordo_analyze.Race
 module Scenario = Ordo_hazard.Scenario
 module Rng = Ordo_util.Rng
 
-let noisy_xeon = { Machine.xeon with Machine.noise_prob = 0.04 }
-let ref_threads = 120
+let noisy_xeon = Same_run.noisy_xeon
+let ref_threads = Same_run.threads
 let ref_boundary = 286
 
 let ordo_pair () =
@@ -345,24 +344,13 @@ let stamp_run ?scenario (module O : Ordo.S) =
       in
       (stats, stamps))
 
-let traced f =
-  Trace.start ~threads:ref_threads ();
-  let r = f () in
-  let t = Trace.stop () in
-  (r, t)
+let traced = Same_run.traced
 
 let check_same_run name (s1, st1) (s2, st2) =
-  Alcotest.(check int) (name ^ ": events") s2.Ordo_sim.Engine.events s1.Ordo_sim.Engine.events;
-  Alcotest.(check int) (name ^ ": end_vtime") s2.Ordo_sim.Engine.end_vtime
-    s1.Ordo_sim.Engine.end_vtime;
+  Same_run.check_stats name s1 s2;
   Alcotest.(check bool) (name ^ ": stamps") true (st1 = st2)
 
-let check_same_trace name (t1 : Trace.t) (t2 : Trace.t) =
-  Alcotest.(check int) (name ^ ": trace length") (Array.length t2.Trace.events)
-    (Array.length t1.Trace.events);
-  Alcotest.(check int) (name ^ ": dropped") t2.Trace.dropped t1.Trace.dropped;
-  Alcotest.(check bool) (name ^ ": trace stream") true (t1.Trace.events = t2.Trace.events);
-  Alcotest.(check bool) (name ^ ": tags") true (t1.Trace.tags = t2.Trace.tags)
+let check_same_trace = Same_run.check_trace
 
 let test_await_matches_ref () =
   let o, r = ordo_pair () in

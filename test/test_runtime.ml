@@ -277,6 +277,136 @@ let test_await_clock () =
          ignore (await "sim" SimR.get_time SimR.await_clock ~by:500 : int)));
   ()
 
+(* ---- await_cell ---- *)
+
+(* Every substrate returns the first value the predicate takes, and asks
+   it about each value read in turn. *)
+let test_await_cell () =
+  let c = RealR.cell 0 in
+  let writer = Domain.spawn (fun () -> for i = 1 to 5 do RealR.write c i done) in
+  let v = RealR.await_cell c (fun v -> v = 5) in
+  Domain.join writer;
+  Alcotest.(check int) "real: the accepted value" 5 v;
+  (* Outside a run a read is free and the value never changes: the
+     predicate is asked once per read until it gives in. *)
+  let c = SimR.cell 7 and asked = ref 0 in
+  let v =
+    SimR.await_cell c (fun _ ->
+        incr asked;
+        !asked = 3)
+  in
+  Alcotest.(check (pair int int)) "sim, outside a run: value, questions" (7, 3) (v, !asked);
+  let c = SimR.cell 0 and seen = ref (0, 0, 0) in
+  ignore
+    (Sim.run tiny ~threads:2 (fun i ->
+         if i = 0 then begin
+           SimR.work 500;
+           SimR.write c 1;
+           SimR.work 200;
+           SimR.write c 2
+         end
+         else begin
+           let asked = ref 0 in
+           let v =
+             SimR.await_cell c (fun v ->
+                 incr asked;
+                 v = 2)
+           in
+           seen := (v, !asked, SimR.now ())
+         end));
+  let v, asked, at = !seen in
+  Alcotest.(check int) "sim: the accepted value" 2 v;
+  Alcotest.(check bool) "sim: the waiter read many times" true (asked > 10);
+  Alcotest.(check bool) "sim: accepted after the second write" true (at >= 700)
+
+(* ---- the MCS lock against its explicit-loop reference ----
+
+   [Mcs.Make] waits through [R.await_cell]; [Mcs_ref] spells the same
+   waits out as read/pause loops.  Both must give the same run: event
+   count, end time, trace stream and race report, with every thread of
+   [Same_run]'s noisy 120-thread Xeon on one lock; each run gets a fresh
+   simulator instance, so both start on the same timeline.  The first
+   round queues all 120 threads; between rounds each thread works about
+   55 us, staggered by thread, so that second-round arrivals meet
+   releases and some releases wait in [release] for a successor that
+   has swapped the tail but not linked in yet. *)
+
+module Trace = Ordo_trace.Trace
+module Race = Ordo_analyze.Race
+module Scenario = Ordo_hazard.Scenario
+
+module type LOCK = sig
+  type t
+  type token
+
+  val create : unit -> t
+  val acquire : t -> token
+  val release : t -> token -> unit
+end
+
+let lock_run ?scenario (module L : LOCK) =
+  Sim.with_fresh_instance (fun () ->
+      let lock = L.create () and counter = SimR.cell 0 in
+      let stats =
+        Sim.run ?scenario Same_run.noisy_xeon ~threads:Same_run.threads (fun i ->
+            for k = 1 to 2 do
+              let tok = L.acquire lock in
+              SimR.write counter (SimR.read counter + 1);
+              SimR.work (((i * 7) + (k * 13)) mod 60);
+              L.release lock tok;
+              SimR.work (55_000 + (i * 13))
+            done)
+      in
+      Alcotest.(check int) "every critical section counted" (Same_run.threads * 2)
+        (SimR.read counter);
+      stats)
+
+let lock_pair () =
+  ((module Ordo_runtime.Mcs.Make (SimR) : LOCK), (module Mcs_ref.Make (SimR) : LOCK))
+
+let test_mcs_matches_ref () =
+  let l, r = lock_pair () in
+  Same_run.check_stats "untraced" (lock_run l) (lock_run r);
+  let run_l, t_l = Same_run.traced (fun () -> lock_run l) in
+  let run_r, t_r = Same_run.traced (fun () -> lock_run r) in
+  Same_run.check_stats "traced" run_l run_r;
+  Same_run.check_trace "traced" t_l t_r;
+  Alcotest.(check bool) "the waits pause" true (Same_run.has Trace.Pause t_l)
+
+let test_mcs_matches_ref_race () =
+  let l, r = lock_pair () in
+  let analyzed m =
+    Race.start ~boundary:286 ~threads:Same_run.threads ();
+    let run = lock_run m in
+    (run, Race.stop ())
+  in
+  let run_l, rep_l = analyzed l in
+  let run_r, rep_r = analyzed r in
+  Same_run.check_stats "race" run_l run_r;
+  Alcotest.(check bool) "same race report" true (rep_l = rep_r)
+
+(* Offline windows and a migration: under a scenario the engine runs the
+   reference loop itself, which must still agree with the explicit one. *)
+let test_mcs_matches_ref_hazard () =
+  let scenario =
+    {
+      Scenario.name = "await_cell";
+      events =
+        [
+          { Scenario.at = 2_000; action = Scenario.Offline { core = 3; dur_ns = 3_000; resync_ns = 40 } };
+          { Scenario.at = 2_500; action = Scenario.Migrate { thread = 7; target = 100 } };
+          { Scenario.at = 4_000; action = Scenario.Offline { core = 40; dur_ns = 2_000; resync_ns = 10 } };
+        ];
+    }
+  in
+  Scenario.validate Same_run.noisy_xeon.Machine.topo scenario;
+  let l, r = lock_pair () in
+  let run_l, t_l = Same_run.traced (fun () -> lock_run ~scenario l) in
+  let run_r, t_r = Same_run.traced (fun () -> lock_run ~scenario r) in
+  Same_run.check_stats "hazard" run_l run_r;
+  Same_run.check_trace "hazard" t_l t_r;
+  Alcotest.(check bool) "hazards fired" true (Same_run.has Trace.Hazard t_l)
+
 let suite =
   [
     ("barrier (sim)", `Quick, test_barrier_sim);
@@ -297,4 +427,8 @@ let suite =
     qcheck_spinlock_real;
     qcheck_mcs_real;
     qcheck_barrier_real;
+    ("await_cell on every substrate", `Quick, test_await_cell);
+    ("mcs await_cell = reference loop", `Quick, test_mcs_matches_ref);
+    ("mcs await_cell = reference, race analysis", `Quick, test_mcs_matches_ref_race);
+    ("mcs await_cell = reference, hazard scenario", `Quick, test_mcs_matches_ref_hazard);
   ]

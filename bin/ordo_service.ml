@@ -101,13 +101,20 @@ let report_cell c =
   in
   broken = [] && checker_ok
 
+(* The first numeric flag out of range, as a usage message. *)
+let bad_flag ~sessions ~dur ~epoch ~jobs =
+  List.find_map
+    (fun (name, v, min) ->
+      if v >= min then None else Some (Printf.sprintf "--%s must be >= %d, got %d" name min v))
+    [ ("sessions", sessions, 1); ("dur", dur, 1); ("epoch", epoch, 0); ("jobs", jobs, 1) ]
+
 let run_main spec_str sessions dur epoch compare_flag fault_name seed jobs no_check
     =
-  match Net.Spec.of_string spec_str with
-  | Error e ->
+  match (bad_flag ~sessions ~dur ~epoch ~jobs, Net.Spec.of_string spec_str) with
+  | Some e, _ | None, Error e ->
     prerr_endline e;
     2
-  | Ok spec ->
+  | None, Ok spec ->
     (match Node_fault.by_name fault_name with
     | None ->
       Printf.eprintf "unknown fault scenario %S (known: %s)\n" fault_name

@@ -24,14 +24,6 @@ struct
   let cmp_time ~c1 t1 ~c2 t2 = Ordo_analyze.Hb.cmp ~boundary:(boundary c1 c2) t1 t2
 
   let new_time ~c_from t =
-    let me = R.tid () in
-    let rec wait () =
-      let now = R.get_time () in
-      if cmp_time ~c1:me now ~c2:c_from t = 1 then now
-      else begin
-        R.pause ();
-        wait ()
-      end
-    in
-    wait ()
+    let b = boundary (R.tid ()) c_from in
+    R.await_clock (fun now -> Ordo_analyze.Hb.cmp ~boundary:b now t = 1)
 end

@@ -286,19 +286,62 @@ let test_pairwise_validation () =
       in
       ())
 
+(* [Pairwise.Make]'s [new_time] waits through [R.await_clock]; here it
+   runs against the get_time/pause loop it replaced, spelled out.  Each of
+   4 threads waits past a stamp its neighbour published (or its own
+   clock, whichever is later) under their pair boundary, 10 times; both
+   runs must agree on every stamp, the engine's events and end time, and
+   the whole trace stream. *)
 let test_pairwise_new_time () =
   let m = skewed 2 2 [| 0; 200 |] in
-  let module E = (val Sim.exec m) in
-  let module B = Boundary.Make (E) in
-  let table = B.pair_matrix ~runs:30 () in
-  ignore
-    (Sim.run m ~threads:2 (fun i ->
-         if i = 0 then begin
-           let module P = Ordo_core.Pairwise.Make (R) (struct let table = table end) in
-           let t = P.get_time () in
-           let nt = P.new_time ~c_from:1 t in
-           if P.cmp_time ~c1:0 nt ~c2:1 t <> 1 then Alcotest.fail "pairwise new_time not certain"
-         end))
+  let table =
+    let module E = (val Sim.exec m) in
+    let module B = Boundary.Make (E) in
+    B.pair_matrix ~runs:30 ()
+  in
+  let module P = Ordo_core.Pairwise.Make (R) (struct let table = table end) in
+  let explicit ~c_from t =
+    let me = R.tid () in
+    let rec wait () =
+      let now = R.get_time () in
+      if P.cmp_time ~c1:me now ~c2:c_from t = 1 then now
+      else begin
+        R.pause ();
+        wait ()
+      end
+    in
+    wait ()
+  in
+  let threads = 4 in
+  let run new_time =
+    Sim.with_fresh_instance (fun () ->
+        let slots = Array.init threads (fun _ -> R.cell 0) in
+        let stamps = Array.make threads [] in
+        let stats =
+          Sim.run m ~threads (fun i ->
+              let c_from = (i + 1) mod threads in
+              for _ = 1 to 10 do
+                let t = Int.max (R.read slots.(c_from)) (P.get_time ()) in
+                let nt = new_time ~c_from t in
+                if P.cmp_time ~c1:i nt ~c2:c_from t <> 1 then
+                  Alcotest.fail "pairwise new_time not certain";
+                R.write slots.(i) nt;
+                stamps.(i) <- nt :: stamps.(i);
+                R.work 50
+              done)
+        in
+        (stats, stamps))
+  in
+  let same name (s1, st1) (s2, st2) =
+    Same_run.check_stats name s1 s2;
+    Alcotest.(check bool) (name ^ ": stamps") true (st1 = st2)
+  in
+  same "untraced" (run P.new_time) (run explicit);
+  let run_l, t_l = Same_run.traced (fun () -> run P.new_time) in
+  let run_e, t_e = Same_run.traced (fun () -> run explicit) in
+  same "traced" run_l run_e;
+  Same_run.check_trace "traced" t_l t_e;
+  Alcotest.(check bool) "the waits park" true (Same_run.has Ordo_trace.Trace.Pause t_l)
 
 (* ---- await_clock against the reference loop ----
 

@@ -386,6 +386,185 @@ let test_seed12_report () =
   check Alcotest.bool "one commit-order inversion on key 52" true
     (rep.Checker.violations = [ Checker.Edge_inversion { key = 52; from_tx; to_tx } ])
 
+(* ---- the whole traced event stream, pinned ----
+
+   The goldens above see a run's verdicts; these see every event it
+   traces: kind, tid, time, a, b and c, with a probe's tag id resolved to
+   its name (ids are interned per sink, in first-use order).  One
+   replicated run that kills a primary and promotes its backup, and one
+   unreplicated run that leaks locks with no fault (conservation 6929
+   against 6930, 2 locks).  Each runs on a fresh simulator instance, so
+   neither digest depends on what ran before it. *)
+
+let kind_code = function
+  | Trace.Transfer -> 0 | Invalidate -> 1 | Rmw_stall -> 2 | Clock_read -> 3 | Pause -> 4
+  | Span_begin -> 5 | Span_end -> 6 | Probe -> 7 | Hazard -> 8 | Guard -> 9
+
+let stream_digest (t : Trace.t) =
+  let b = Buffer.create (1 lsl 20) in
+  Array.iter
+    (fun (e : Trace.event) ->
+      let a =
+        match e.Trace.kind with
+        | Trace.Probe | Span_begin | Span_end | Guard -> t.Trace.tags.(e.Trace.a)
+        | _ -> string_of_int e.Trace.a
+      in
+      Printf.bprintf b "%d %d %d %s %d %d\n" (kind_code e.Trace.kind) e.Trace.tid
+        e.Trace.time a e.Trace.b e.Trace.c)
+    t.Trace.events;
+  (Array.length t.Trace.events, t.Trace.dropped, Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let test_stream_digests () =
+  List.iter
+    (fun (name, spec, fault, sessions, dur, expected) ->
+      let spec = spec_of spec in
+      let boundary = Sim.with_fresh_instance (fun () -> (Compose.measure spec).Compose.boundary) in
+      let fault =
+        match Node_fault.by_name fault with
+        | Some preset ->
+          preset ~seed:1 ~dur ~groups:(Spec.groups spec) ~replicas:spec.Spec.replicas
+        | None -> Alcotest.failf "no fault %s" fault
+      in
+      let cfg =
+        {
+          Service.default with
+          Service.profile = { Sessions.default with Sessions.sessions; dur_ns = dur };
+        }
+      in
+      let t =
+        Sim.with_fresh_instance @@ fun () ->
+        Trace.start ~capacity:262_144 ();
+        ignore (Service.run ~boundary ~fault spec cfg : Service.result);
+        Trace.stop ()
+      in
+      check Alcotest.(triple int int string) name expected (stream_digest t))
+    [
+      ( "2x2xamd primary_kill", "2x2xamd", "primary_kill", 96, 300_000,
+        (29682, 0, "ba5a48be3fca15f7288b7252dc7a5e9e") );
+      ( "2xamd unreplicated", "2xamd", "none", 300, 300_000,
+        (361112, 0, "925a7936c4fb1e21773615b9b267fcba") );
+    ]
+
+(* ---- the client alone, against a scripted responder ----
+
+   No replica runs: a script answers each request from its rid and
+   whether that rid arrived before, so every client path runs on a known
+   schedule.  A put to a multiple of 7 is shed every time, until the
+   client gives it up after [max_attempts] attempts.  Otherwise, on a
+   rid's first arrival, rid mod 5 = 0 is dropped (the scanner
+   retransmits it to the group's other replica), 1 is redirected to
+   the replica it reached, 2 is shed and 3 fails (the op is reissued
+   under a fresh rid); every other arrival commits.  Redirects name the
+   leader the client already believes in, so every first copy reaches
+   member 0 of its group. *)
+
+let test_client_scripted () =
+  let module Node = Ordo_service.Node in
+  let module Client = Ordo_service.Client in
+  Sim.with_fresh_instance @@ fun () ->
+  let c =
+    Node.create ~boundary:4_000 ~epoch_ns:0 ~adm:Admission.default ~keys:64 (spec_of "2x2xamd")
+  in
+  let cl =
+    Client.create c ~seed:7 { Sessions.default with Sessions.sessions = 30; dur_ns = 60_000 }
+  in
+  let arrivals = Hashtbl.create 256 (* rid -> destinations, newest first *)
+  and hopeless = Hashtbl.create 16 in
+  let other d = d lxor 1 in  (* the group's other replica *)
+  Net.on_message c.Node.net (fun src dst m ->
+      match m with
+      | Node.Req { rid; op } -> (
+        let seen = Option.value (Hashtbl.find_opt arrivals rid) ~default:[] in
+        Hashtbl.replace arrivals rid (dst :: seen);
+        let answer outcome = Net.send c.Node.net ~src:dst ~dst:src (Node.Reply { rid; outcome }) in
+        match op with
+        | Sessions.Put k when k mod 7 = 0 ->
+          Hashtbl.replace hopeless rid ();
+          answer (Node.Shed_retry 500)
+        | _ when seen <> [] -> answer Node.Done_ok
+        | _ -> (
+          match rid mod 5 with
+          | 0 -> ()
+          | 1 -> answer (Node.Moved dst)
+          | 2 -> answer (Node.Shed_retry 1_000)
+          | 3 -> answer Node.Done_fail
+          | _ -> answer Node.Done_ok))
+      | Node.Reply { rid; outcome } -> Client.on_reply cl rid outcome
+      | _ -> ());
+  Client.start cl;
+  Net.run c.Node.net;
+  check Alcotest.bool "the client stopped the run" true c.Node.stopping;
+  check Alcotest.bool "ops issued" true (cl.Client.issued > 100);
+  check Alcotest.int "every op committed or given up" cl.Client.issued
+    (cl.Client.committed + cl.Client.failed);
+  check Alcotest.int "given up: exactly the hopeless ops" (Hashtbl.length hopeless) cl.Client.failed;
+  check Alcotest.bool "some ops given up" true (cl.Client.failed > 0);
+  check Alcotest.int "one latency per commit" cl.Client.committed
+    (Array.length (Client.latencies cl));
+  check Alcotest.int "a fresh rid per failure" cl.Client.rids (Hashtbl.length arrivals);
+  let count p = Hashtbl.fold (fun rid _ n -> if p rid then n + 1 else n) arrivals 0 in
+  let scripted k rid = rid mod 5 = k && not (Hashtbl.mem hopeless rid) in
+  check Alcotest.int "shed replies" (count (scripted 2) + (Node.max_attempts * Hashtbl.length hopeless))
+    cl.Client.shed_replies;
+  Hashtbl.iter
+    (fun rid dsts ->
+      let expect =
+        if Hashtbl.mem hopeless rid then List.length dsts = Node.max_attempts
+        else
+          match (rid mod 5, dsts) with
+          | 0, [ second; first ] -> first mod 2 = 0 && second = other first
+          | (1 | 2), [ second; first ] -> first mod 2 = 0 && second = first
+          | (0 | 1 | 2), _ -> false
+          | _, dsts -> dsts = [ List.hd dsts ] && List.hd dsts mod 2 = 0
+      in
+      if not expect then
+        Alcotest.failf "rid %d arrived at %s" rid (String.concat ", " (List.map string_of_int dsts)))
+    arrivals
+
+(* ---- the 2PC participant alone, on a two-node Net ----
+
+   Node 1 leads group 1 of an unreplicated "2xamd"; the test plays the
+   coordinator on node 0, whose inbox it records.  A prepare locks the
+   key and answers [Prepared]; a second prepare of the held key is
+   refused; the commit decision installs once, and its retransmit is
+   acknowledged again without a second install. *)
+
+let test_participant_alone () =
+  let module Node = Ordo_service.Node in
+  let module Twopc = Ordo_service.Twopc in
+  Sim.with_fresh_instance @@ fun () ->
+  let c = Node.create ~boundary:4_000 ~epoch_ns:0 ~adm:Admission.default ~keys:8 (spec_of "2xamd") in
+  let net = c.Node.net and n = c.Node.st.(1) in
+  let inbox = ref [] in
+  Net.on_message net (fun _ dst m -> if dst = 0 then inbox := m :: !inbox);
+  let received () =
+    Net.run net;
+    let ms = List.rev !inbox in
+    inbox := [];
+    ms
+  in
+  n.Node.n_lease <- Lease.grant ~holder:1 ~term:1 ~now:(Net.clock net 1) ~term_ns:Node.term_ns;
+  let key = n.Node.n_store.(3) (* group 1 owns the odd keys *) in
+  Twopc.on_prepare c n ~txid:7 ~key_b:3 ~prop:0 ~coord:0;
+  let prop =
+    match received () with
+    | [ Node.Prepared { txid = 7; ver_b = 0; prop } ] -> prop
+    | _ -> Alcotest.fail "expected one Prepared for txid 7 at version 0"
+  in
+  check Alcotest.bool "prepare locks the key" true key.Key.locked;
+  Twopc.on_prepare c n ~txid:8 ~key_b:3 ~prop:0 ~coord:0;
+  check Alcotest.bool "a held key is refused" true
+    (match received () with [ Node.Conflict { txid = 8 } ] -> true | _ -> false);
+  for _ = 1 to 2 do
+    Twopc.on_decision c n ~src:0 ~txid:7 ~commit:true ~ts:prop ~ver_b:1
+  done;
+  check Alcotest.bool "both copies acknowledged" true
+    (received () = [ Node.DecisionAck { txid = 7 }; Node.DecisionAck { txid = 7 } ]);
+  check Alcotest.(list int) "installed once: value, version, stamp" [ 101; 1; prop ]
+    [ key.Key.value; key.Key.ver; key.Key.wts ];
+  check Alcotest.bool "unlocked" false key.Key.locked;
+  check Alcotest.int "stream: Prep, Install, Decide" 3 (Ordo_service.Replog.position n.Node.n_log)
+
 (* The session generator's exponential draws take means computed once at
    [create], so none boxes a float: 10k think gaps allocate nothing, 10k
    arrivals only their [Some], and 10k connects only their session record
@@ -432,4 +611,7 @@ let suite =
     case "chaos: unreplicated restart resumes leadership" test_chaos_unreplicated_restart;
     case "chaos: fault scenarios validated" test_chaos_fault_validated;
     case "checker report pinned on the seed-12 run" test_seed12_report;
+    case "traced event streams pinned" test_stream_digests;
+    case "client against a scripted responder" test_client_scripted;
+    case "2PC participant alone on a two-node Net" test_participant_alone;
   ]

@@ -66,13 +66,16 @@ let run machine_name workload scenario_name seed policy_name unguarded threads d
   | Some _ when capacity < 1 ->
     Printf.eprintf "--capacity must be >= 1 (got %d)\n" capacity;
     exit 2
+  | Some m when threads < 1 || threads > Topology.total_threads m.Machine.topo ->
+    Printf.eprintf "--threads must be in 1..%d on %s (got %d)\n"
+      (Topology.total_threads m.Machine.topo) machine_name threads;
+    exit 2
   | Some machine ->
     let mode = if unguarded then "unguarded" else "guarded:" ^ policy_name in
     Report.section
       (Printf.sprintf "ordo-hazard: %s/%s on %s, scenario %s (%s)" workload
          (if unguarded then "ordo" else "guard") machine_name scenario_name mode);
     let total = Topology.total_threads machine.Machine.topo in
-    let threads = max 1 (min threads total) in
     let scenario =
       match Scenario.by_name scenario_name with
       | None ->
@@ -187,7 +190,10 @@ let unguarded_arg =
   Arg.(value & flag & info [ "unguarded" ] ~doc)
 
 let threads_arg =
-  let doc = "Simulated threads (placed on hardware threads 0..N-1)." in
+  let doc =
+    "Simulated threads (placed on hardware threads 0..N-1), from 1 to the machine's \
+     hardware thread count."
+  in
   Arg.(value & opt int 16 & info [ "threads"; "t" ] ~docv:"N" ~doc)
 
 let dur_arg =

@@ -114,6 +114,9 @@ let run names mutants mode bound seed max_inter max_steps spin_bound jobs quiet 
   let find n = List.find_opt (fun (t : Suites.target) -> t.t_name = n) pool in
   let unknown = List.filter (fun n -> find n = None) names in
   match (unknown, parse_mode mode bound) with
+  | _ when spin_bound < 1 ->
+    Printf.eprintf "ordo-mcheck: --spin-bound must be >= 1 (got %d)\n" spin_bound;
+    2
   | u :: _, _ ->
     Printf.eprintf "ordo-mcheck: unknown target %S (have: %s)\n" u
       (String.concat ", " (List.map (fun (t : Suites.target) -> t.t_name) pool));
@@ -176,7 +179,7 @@ let max_steps_arg =
   Arg.(value & opt int 100_000 & info [ "max-steps" ] ~docv:"N" ~doc)
 
 let spin_arg =
-  let doc = "Barren pause rounds before a livelock verdict." in
+  let doc = "Barren pause rounds before a livelock verdict (at least 1)." in
   Arg.(value & opt int 16 & info [ "spin-bound" ] ~docv:"N" ~doc)
 
 let jobs_arg =

@@ -60,11 +60,14 @@ let run machine_name workload source threads dur capacity out skew no_check anal
   | Some _ when capacity < 1 ->
     Printf.eprintf "--capacity must be >= 1 (got %d)\n" capacity;
     exit 2
+  | Some m when threads < 1 || threads > Topology.total_threads m.Machine.topo ->
+    Printf.eprintf "--threads must be in 1..%d on %s (got %d)\n"
+      (Topology.total_threads m.Machine.topo) machine_name threads;
+    exit 2
   | Some base ->
     Report.section
       (Printf.sprintf "ordo-trace: %s/%s on %s" workload source machine_name);
     let total = Topology.total_threads base.Machine.topo in
-    let threads = max 1 (min threads total) in
     (* The boundary is always measured on the *unskewed* machine; the
        workload then runs with whatever skew was injected. *)
     let boundary = measure_boundary base in
@@ -131,7 +134,10 @@ let source_arg =
   Arg.(value & opt string "ordo" & info [ "source"; "s" ] ~docv:"SRC" ~doc)
 
 let threads_arg =
-  let doc = "Simulated threads (placed on hardware threads 0..N-1)." in
+  let doc =
+    "Simulated threads (placed on hardware threads 0..N-1), from 1 to the machine's \
+     hardware thread count."
+  in
   Arg.(value & opt int 16 & info [ "threads"; "t" ] ~docv:"N" ~doc)
 
 let dur_arg =

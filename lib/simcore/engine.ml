@@ -8,21 +8,29 @@ module Race = Ordo_analyze.Race
 let clock_epoch = 1_000_000_000_000
 
 (* A cell is its simulated cache line: the value and the line's state in
-   one heap block, so every operation reaches the line with one load. *)
+   one heap block of 6 words, so every operation reaches the line with one
+   load.  [stamp] packs two fields, [epoch lsl owner_bits lor (owner + 1)]:
+   the run id of the last access, so [touch] resets stale lines lazily,
+   and the hardware thread holding the line exclusively (-1 = memory). *)
 type 'a cell = {
   mutable v : 'a;
   lid : int;  (* stable id, for trace attribution *)
-  mutable owner : int;  (* hardware thread holding the line exclusively, -1 = memory *)
   mutable free_at : int;  (* virtual time at which the line accepts the next RMW/store *)
-  mutable epoch : int;  (* run id of the last access; stale lines reset lazily *)
-  mutable small : int;  (* sharer bitmap while every sharer id is below [Sharers.small_limit] *)
-  mutable big : Bytes.t;  (* sharer bitmap once one is not; [Bytes.empty] until then *)
+  mutable stamp : int;  (* run epoch and owner + 1; see above *)
+  mutable sharers : Sharers.t;  (* threads holding a valid shared copy *)
 }
+
+(* [owner + 1] takes the low 12 bits of [stamp], so [run] admits machines
+   of fewer than [owner_mask] = 4,095 hardware threads. *)
+let owner_bits = 12
+let owner_mask = (1 lsl owner_bits) - 1
+let[@inline] owner c = (c.stamp land owner_mask) - 1
 
 (* A queued event is just a thread record: the parked fiber's continuation
    and resume value are stored in the record itself ([ev_k]/[ev_v], via
    [Obj] — the pairing is re-established at the single dispatch site), so
-   parking a fiber writes two fields and resuming it allocates nothing.
+   parking a fiber allocates only its continuation, and resuming it
+   allocates nothing.
    [kind] says what the next dispatch does with the record:
 
    - [k_resume]: continue [ev_k] with [ev_v];
@@ -40,8 +48,7 @@ let k_await_check = 3
 type thread = {
   id : int;
   mutable time : int;
-  mutable park : int;  (* completion instant of the op being parked; see [finish] *)
-  mutable finished : bool;
+  mutable park : int;  (* completion instant of the last read step; see [load] *)
   smt_factor : float;  (* compute slowdown from co-resident SMT threads *)
   reset : int;  (* invariant-clock start offset of this core *)
   mutable kind : int;  (* what the next dispatch does; see above *)
@@ -140,50 +147,57 @@ let in_simulation () = (instance ()).running <> None
 
 (* ---- hot-path sharer operations ----
 
-   Manually inlined over the cell's [small]/[big] fields: without flambda,
-   a cross-module call per simulated cache event would cost more than the
+   Manually inlined over the cell's [sharers] field: without flambda, a
+   cross-module call per simulated cache event would cost more than the
    bit test it performs.  Only the fast cases live here; migration and
-   buffer growth go through [Sharers]. *)
+   buffer growth go through [Sharers.add]. *)
 
 let[@inline] sharer_mem c tid =
-  let big = c.big in
-  if big == Bytes.empty then tid < Sharers.small_limit && c.small land (1 lsl tid) <> 0
+  let s = c.sharers in
+  if Obj.is_int s then tid < Sharers.small_limit && (Obj.obj s : int) land (1 lsl tid) <> 0
   else
-    let byte = tid lsr 3 in
+    let big : Bytes.t = Obj.obj s and byte = tid lsr 3 in
     byte < Bytes.length big
     && Char.code (Bytes.unsafe_get big byte) land (1 lsl (tid land 7)) <> 0
 
 let[@inline] sharer_add c tid =
-  let big = c.big in
-  if big == Bytes.empty then begin
-    if tid < Sharers.small_limit then c.small <- c.small lor (1 lsl tid)
-    else begin
-      c.big <- Sharers.migrate c.small tid;
-      c.small <- 0
-    end
-  end
+  let s = c.sharers in
+  if Obj.is_int s then
+    if tid < Sharers.small_limit then c.sharers <- Obj.repr ((Obj.obj s : int) lor (1 lsl tid))
+    else c.sharers <- Sharers.add s tid (* migrate *)
   else begin
-    let byte = tid lsr 3 in
+    let big : Bytes.t = Obj.obj s and byte = tid lsr 3 in
     if byte < Bytes.length big then
       Bytes.unsafe_set big byte
         (Char.unsafe_chr (Char.code (Bytes.unsafe_get big byte) lor (1 lsl (tid land 7))))
-    else c.big <- Sharers.add_big big tid (* grow *)
+    else c.sharers <- Sharers.add s tid (* grow *)
   end
 
+(* An empty small set is left unwritten: the store of an [Obj.t] goes
+   through the write barrier, and most exclusive operations find the set
+   empty already. *)
 let[@inline] sharer_clear c =
-  let big = c.big in
-  if big == Bytes.empty then c.small <- 0 else Sharers.clear_big big
+  let s = c.sharers in
+  if Obj.is_int s then (if s != Sharers.empty then c.sharers <- Sharers.empty)
+  else ignore (Sharers.clear s : Sharers.t)
 
 let[@inline] sharer_is_empty c =
-  if c.big == Bytes.empty then c.small = 0 else Sharers.is_empty c.small c.big
+  let s = c.sharers in
+  if Obj.is_int s then s == Sharers.empty else Sharers.is_empty s
 
 let[@inline] touch eng (c : _ cell) =
-  if c.epoch <> eng.epoch then begin
-    c.epoch <- eng.epoch;
-    c.owner <- -1;
+  if c.stamp lsr owner_bits <> eng.epoch then begin
+    c.stamp <- eng.epoch lsl owner_bits (* owner -1: memory *);
     c.free_at <- 0;
     sharer_clear c
   end
+
+let cell v =
+  let inst = instance () in
+  inst.line_counter <- inst.line_counter + 1;
+  { v; lid = inst.line_counter; free_at = 0; stamp = 0; sharers = Sharers.empty }
+
+let line_id c = c.lid
 
 (* ---- the one effect ----
 
@@ -192,43 +206,43 @@ let[@inline] touch eng (c : _ cell) =
    order because a thread may never advance its clock past the next queued
    event without going through the queue.  The only thing an operation
    ever needs from the scheduler is "resume me with this value at this
-   instant", so that is the only effect. *)
+   instant".  The operation queues its own thread for that instant, with
+   the value in [ev_v] (or, for a wait, the step the dispatch loop takes
+   next), so all the fiber hands over is its continuation.  That is the
+   only effect, and it carries nothing: performing it allocates the
+   continuation and no payload, and its handler is built once per
+   fiber. *)
+type _ Effect.t += E_park : Obj.t Effect.t
 
-(* The completion instant travels in [thread.park] rather than in the
-   effect payload: performing [E_resume v] then allocates no tuple, and
-   for an immediate [v] nothing at all beyond the effect itself. *)
-type _ Effect.t += E_resume : 'a -> 'a Effect.t
-
-(* A wait that must park has already queued its thread (see
-   [wait_park]); the fiber only hands over its continuation, which the
-   dispatch loop continues once, with the accepted value. *)
-type _ Effect.t += E_await : Obj.t Effect.t
-
-let cell v =
-  let inst = instance () in
-  inst.line_counter <- inst.line_counter + 1;
-  { v; lid = inst.line_counter; owner = -1; free_at = 0; epoch = 0; small = 0; big = Bytes.empty }
-
-let line_id c = c.lid
+(* Queue [th] for [completion], where the dispatch loop takes [kind]'s
+   step with [v]. *)
+let enqueue eng th kind v completion =
+  th.kind <- kind;
+  th.ev_v <- v;
+  th.time <- completion;
+  Equeue.push eng.queue ~time:completion th
 
 (* The earliest queued event: a thread must not run past it directly.
    [Equeue.next_time] is allocation-free — this check runs once per
    operation. *)
 let[@inline] horizon eng = Equeue.next_time eng.queue
 
+(* The park path of [finish], out of line so that the inlined fast path
+   stays small. *)
+let park eng th v completion =
+  enqueue eng th k_resume v completion;
+  Effect.perform E_park
+
 (* Finish an operation that completes at [completion]: advance the local
    clock directly when no other thread could act first, otherwise park the
-   fiber in the event queue. *)
+   fiber in the event queue, to be continued with [v]. *)
 let[@inline] finish : type a. t -> thread -> a -> int -> a =
  fun eng th v completion ->
   if completion < horizon eng then begin
     th.time <- completion;
     v
   end
-  else begin
-    th.park <- completion;
-    Effect.perform (E_resume v)
-  end
+  else Obj.obj (park eng th (Obj.repr v) completion)
 
 (* ---- hazard hooks ----
 
@@ -283,9 +297,10 @@ let noise eng =
 let read_miss eng th c =
   let m = eng.machine in
   let cls, cost =
-    if c.owner < 0 then (Trace.cls_mem, m.Machine.mem_ns)
+    let owner = owner c in
+    if owner < 0 then (Trace.cls_mem, m.Machine.mem_ns)
     else
-      let req = locate eng th.id and own = locate eng c.owner in
+      let req = locate eng th.id and own = locate eng owner in
       (Machine.transfer_class m req own, Machine.transfer_ns m req own)
   in
   sharer_add c th.id;
@@ -303,13 +318,14 @@ let exclusive_completion eng th c ~exec_ns =
   touch eng c;
   let m = eng.machine in
   let start = Int.max th.time c.free_at in
+  let owner = owner c in
   let cls, transfer =
-    if c.owner = th.id then
+    if owner = th.id then
       if not (sharer_is_empty c) then (Trace.cls_llc, m.Machine.llc_ns)
       else (Trace.cls_l1, m.Machine.l1_ns)
-    else if c.owner < 0 then (Trace.cls_mem, m.Machine.mem_ns)
+    else if owner < 0 then (Trace.cls_mem, m.Machine.mem_ns)
     else
-      let req = locate eng th.id and own = locate eng c.owner in
+      let req = locate eng th.id and own = locate eng owner in
       (Machine.transfer_class m req own, Machine.transfer_ns m req own)
   in
   let completion = start + transfer + exec_ns + noise eng in
@@ -320,16 +336,16 @@ let exclusive_completion eng th c ~exec_ns =
     if wait > 0 then
       Trace.emit ~tid:th.id ~time:start Trace.Rmw_stall ~a:c.lid ~b:wait ~c:0;
     let copies =
-      Sharers.count c.small c.big
+      Sharers.count c.sharers
       - (if sharer_mem c th.id then 1 else 0)
-      + (if c.owner >= 0 && c.owner <> th.id then 1 else 0)
+      + (if owner >= 0 && owner <> th.id then 1 else 0)
     in
     if copies > 0 then
       Trace.emit ~tid:th.id ~time:(start + transfer) Trace.Invalidate ~a:c.lid ~b:copies ~c:0;
     Trace.emit ~tid:th.id ~time:(start + transfer) Trace.Transfer ~a:c.lid ~b:cls ~c:transfer
   end;
   c.free_at <- completion;
-  c.owner <- th.id;
+  c.stamp <- (eng.epoch lsl owner_bits) lor (th.id + 1);
   sharer_clear c;
   completion
 
@@ -348,7 +364,7 @@ let[@inline] scale th ns =
 let[@inline] load eng th c =
   touch eng c;
   let completion =
-    if c.owner = th.id || sharer_mem c th.id then th.time + eng.machine.Machine.l1_ns
+    if owner c = th.id || sharer_mem c th.id then th.time + eng.machine.Machine.l1_ns
     else read_miss eng th c
   in
   if eng.analyze then Race.on_read ~tid:th.id ~line:c.lid ~time:completion;
@@ -514,15 +530,12 @@ let fence () = ()
    immediate. *)
 let clock_src = Obj.repr 0
 
-(* What the step functions return once a step has queued the thread: a
-   private block, so no value read can be it. *)
+(* What a step returns once it has queued the thread: a private block, so
+   no value read can be it. *)
 let parked = Obj.repr (ref ())
 
 let wait_park eng th kind v completion =
-  th.kind <- kind;
-  th.ev_v <- v;
-  th.time <- completion;
-  Equeue.push eng.queue ~time:completion th;
+  enqueue eng th kind v completion;
   parked
 
 (* One read of [src]. *)
@@ -559,7 +572,7 @@ let await eng src (accept : Obj.t -> bool) =
   else begin
     th.src <- src;
     th.pred <- Obj.repr accept;
-    Effect.perform E_await
+    Effect.perform E_park
   end
 
 let await_clock accept =
@@ -611,27 +624,17 @@ let probe tag a b =
 
 let no_pred = Obj.repr (fun (_ : Obj.t) -> true)
 
-let fiber eng th fn =
+let fiber th fn =
   let open Effect.Deep in
-  (* Built once per fiber: an [E_await] allocates no handler. *)
-  let on_await = Some (fun (k : (Obj.t, unit) continuation) -> th.ev_k <- Obj.repr k) in
+  (* Built once per fiber: a park allocates no handler. *)
+  let on_park = Some (fun (k : (Obj.t, unit) continuation) -> th.ev_k <- Obj.repr k) in
   match_with fn ()
     {
-      retc = (fun () -> th.finished <- true);
+      retc = Fun.id;
       exnc = raise;
       effc =
-        (fun (type a) (e : a Effect.t) ->
-          match e with
-          | E_resume v ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                let completion = th.park in
-                th.time <- completion;
-                th.ev_k <- Obj.repr k;
-                th.ev_v <- Obj.repr v;
-                Equeue.push eng.queue ~time:completion th)
-          | E_await -> on_await
-          | _ -> None);
+        (fun (type a) (e : a Effect.t) : ((a, unit) continuation -> unit) option ->
+          match e with E_park -> on_park | _ -> None);
     }
 
 let run ?scenario machine jobs =
@@ -639,6 +642,8 @@ let run ?scenario machine jobs =
   if inst.running <> None then invalid_arg "Engine.run: not reentrant";
   let topo = machine.Machine.topo in
   let nthreads = Topology.total_threads topo in
+  if nthreads >= owner_mask then
+    invalid_arg "Engine.run: machines of 4,095 or more hardware threads are not supported";
   let seen = Array.make nthreads false in
   List.iter
     (fun (hw, _) ->
@@ -657,37 +662,23 @@ let run ?scenario machine jobs =
   let hazard =
     Option.map (fun s -> Hazard.compile ~epoch:clock_epoch ~base machine s) scenario
   in
+  let thread ?(smt_factor = 1.0) ?(reset = 0) id kind ev_k =
+    {
+      id;
+      time = base;
+      park = base;
+      smt_factor;
+      reset;
+      kind;
+      ev_k;
+      ev_v = Obj.repr ();
+      src = clock_src;
+      pred = no_pred;
+    }
+  in
   (* One-shot pseudo thread carrying a closure: thread start, hazard fire. *)
-  let thunk_event fn =
-    {
-      id = -1;
-      time = base;
-      park = base;
-      finished = false;
-      smt_factor = 1.0;
-      reset = 0;
-      kind = k_thunk;
-      ev_k = Obj.repr (fn : unit -> unit);
-      ev_v = Obj.repr ();
-      src = clock_src;
-      pred = no_pred;
-    }
-  in
-  let dummy =
-    {
-      id = -1;
-      time = base;
-      park = base;
-      finished = false;
-      smt_factor = 1.0;
-      reset = 0;
-      kind = k_resume;
-      ev_k = Obj.repr ();
-      ev_v = Obj.repr ();
-      src = clock_src;
-      pred = no_pred;
-    }
-  in
+  let thunk_event fn = thread (-1) k_thunk (Obj.repr (fn : unit -> unit)) in
+  let dummy = thread (-1) k_resume (Obj.repr ()) in
   let eng =
     {
       machine;
@@ -722,29 +713,19 @@ let run ?scenario machine jobs =
       h.Hazard.fires);
   let start (hw, fn) =
     let th =
-      {
-        id = hw;
-        time = base;
-        park = base;
-        finished = false;
-        smt_factor =
-          1.0
+      thread hw k_thunk (Obj.repr ())
+        ~smt_factor:
+          (1.0
           +. (machine.Machine.smt_slowdown
-             *. float_of_int (lanes.(Topology.physical_of topo hw) - 1));
-        reset = Machine.clock_reset_ns machine hw;
-        kind = k_thunk;
-        ev_k = Obj.repr ();
-        ev_v = Obj.repr ();
-        src = clock_src;
-        pred = no_pred;
-      }
+             *. float_of_int (lanes.(Topology.physical_of topo hw) - 1)))
+        ~reset:(Machine.clock_reset_ns machine hw)
     in
     (* The thread's first event runs its start closure; every later event
        on this record resumes the fiber or takes a clock-wait step ([kind]
        leaves [k_thunk] at the first dispatch and never comes back). *)
     th.ev_k <- Obj.repr (fun () ->
         eng.cur <- th;
-        fiber eng th fn);
+        fiber th fn);
     eng.threads <- th :: eng.threads;
     Equeue.push eng.queue ~time:base th
   in

@@ -7,14 +7,14 @@
     [(time, sequence)] makes runs fully deterministic.
 
     Cache-line model: a {!cell} is one line.  The cell holds its value
-    and, in the same heap block, the line state: the current exclusive
-    owner, the set of threads holding a valid shared copy (an adaptive
-    bitmap, see {!Sharers}), and the virtual time until which the line is
-    busy.  Loads by a holder cost [l1_ns]; other loads pay a transfer and
-    join the sharers.  Stores and RMWs wait for the line to be free, pay
-    transfer + execution cost, take ownership, and invalidate all sharers
-    — RMWs on a hot line therefore serialize, which is precisely the
-    logical-clock bottleneck the paper attacks.
+    and, in the same six-word heap block, the line state: the current
+    exclusive owner, the set of threads holding a valid shared copy (an
+    adaptive bitmap, see {!Sharers}), and the virtual time until which
+    the line is busy.  Loads by a holder cost [l1_ns]; other loads pay a
+    transfer and join the sharers.  Stores and RMWs wait for the line to
+    be free, pay transfer + execution cost, take ownership, and
+    invalidate all sharers — RMWs on a hot line therefore serialize,
+    which is precisely the logical-clock bottleneck the paper attacks.
 
     All previously process-global engine state (the running engine, the
     continuous timeline, the line-id allocator) lives in an {!Instance.i}.
@@ -137,7 +137,10 @@ val run :
 (** [run machine jobs] runs each [(hw_thread, fn)] as one simulated thread
     pinned to that hardware thread, to completion, on the calling domain's
     current simulator instance.  Hardware thread ids must be distinct and
-    within the machine's topology.  Not reentrant within one instance.
+    within the machine's topology, and the machine must have fewer than
+    4,095 hardware threads (a line's owner shares a word with its run
+    epoch).  Raises [Invalid_argument] otherwise.  Not reentrant within
+    one instance.
     Whether tracing is active is sampled once at run start — install the
     sink ([Ordo_trace.Trace.start]) before launching the run.
 

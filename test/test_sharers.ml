@@ -4,27 +4,17 @@
 
 module Sharers = Ordo_sim.Sharers
 
-(* A sharer set held the way the engine's cell holds it, in two fields,
-   updated through the field-level API exactly as the engine's inlined
-   paths do. *)
-type set = { mutable small : int; mutable big : Bytes.t }
+(* A sharer set held the way the engine's cell holds it, in one field,
+   updated through [Sharers] and stored back as the engine's paths do. *)
+type set = { mutable s : Sharers.t }
 
-let create () = { small = 0; big = Bytes.empty }
-
-let add s tid =
-  if Sharers.is_small s.big then
-    if tid < Sharers.small_limit then s.small <- s.small lor (1 lsl tid)
-    else begin
-      s.big <- Sharers.migrate s.small tid;
-      s.small <- 0
-    end
-  else s.big <- Sharers.add_big s.big tid
-
-let clear s = if Sharers.is_small s.big then s.small <- 0 else Sharers.clear_big s.big
-let mem s tid = Sharers.mem s.small s.big tid
-let is_empty s = Sharers.is_empty s.small s.big
-let count s = Sharers.count s.small s.big
-let is_small s = Sharers.is_small s.big
+let create () = { s = Sharers.empty }
+let add st tid = st.s <- Sharers.add st.s tid
+let clear st = st.s <- Sharers.clear st.s
+let mem st tid = Sharers.mem st.s tid
+let is_empty st = Sharers.is_empty st.s
+let count st = Sharers.count st.s
+let is_small st = Sharers.is_small st.s
 let add_all s ids = List.iter (add s) ids
 let mem_all s ids = List.for_all (mem s) ids
 
@@ -180,10 +170,10 @@ let matches_list_model =
         (fun op ->
           match op with
           | `Add i ->
-            let was_small = is_small s and buf = s.big in
+            let was_small = is_small s and buf = s.s in
             add s i;
             if was_small && not (is_small s) then migrated := true;
-            if (not was_small) && s.big != buf then grew := true;
+            if (not was_small) && s.s != buf then grew := true;
             if not (List.mem i !model) then model := i :: !model;
             true
           | `Clear ->

@@ -1,7 +1,8 @@
 (* One function per table/figure of the paper's evaluation (see DESIGN.md
-   for the experiment index), plus the ablation studies.  All experiments
-   run on the machine simulator with the Table 1 presets; [full] widens
-   the sweeps to paper scale. *)
+   for the experiment index), plus the ablation studies, and [all], the
+   table of them that the driver runs.  All experiments run on the
+   machine simulator with the Table 1 presets; [full] widens the sweeps
+   to paper scale. *)
 
 module Machine = Ordo_sim.Machine
 module Sim = Ordo_sim.Sim
@@ -9,14 +10,16 @@ module R = Ordo_sim.Sim.Runtime
 module Rng = Ordo_util.Rng
 module Topology = Ordo_util.Topology
 module Report = Ordo_util.Report
+module Trace = Ordo_trace.Trace
+module Checker = Ordo_trace.Checker
 module H = Harness
 
-let machine_name (m : Machine.t) = m.Machine.topo.Topology.name
+(* The second series of a two-series sweep row over the first. *)
+let ratio rates = List.nth rates 1 /. List.hd rates
 
 (* ---------- Table 1: machine configurations and measured offsets ------- *)
 
 let tab1 ~full =
-  Report.section "Table 1: machines and measured clock offsets";
   let runs = if full then 300 else 60 in
   (* One task per machine; the boundary-cache update happens after the
      join so the cache's final content never depends on task order. *)
@@ -73,7 +76,6 @@ let tab1 ~full =
 (* ---------- Figure 9: pairwise offset heatmaps ------------------------- *)
 
 let fig9 ~full =
-  Report.section "Figure 9: pairwise clock offsets (writer row -> reader column)";
   let runs = if full then 200 else 40 in
   H.par_map
     (fun (m : Machine.t) ->
@@ -85,43 +87,28 @@ let fig9 ~full =
   |> List.iter (fun (m, cores, matrix) ->
          Report.matrix
            ~title:
-             (Printf.sprintf "%s (sampled hw threads: %s)" (machine_name m)
+             (Printf.sprintf "%s (sampled hw threads: %s)" (H.machine_label m)
                 (String.concat "," (List.map string_of_int cores)))
            ~row_label:"w\\r" matrix)
 
 (* ---------- Figure 8a: timestamp cost vs thread count ------------------ *)
 
 let fig8a ~full =
-  Report.section "Figure 8a: hardware timestamp cost (ns) vs threads";
   (* All (machine, threads) cells in one flat task list. *)
-  let cells =
-    List.concat_map (fun m -> List.map (fun t -> (m, t)) (H.cores_for ~full m)) H.machines
-  in
-  let rates =
-    H.par_map
-      (fun (m, threads) ->
-        H.throughput ~warm:20_000 ~dur:100_000 m ~threads (fun _ _ ->
-            ignore (R.get_time ())))
-      cells
-  in
-  let results = List.combine cells rates in
-  List.iter
-    (fun (m : Machine.t) ->
-      let rows =
-        List.filter_map
-          (fun (((m' : Machine.t), threads), rate) ->
-            if m' != m then None
-              (* per-op cost = threads / aggregate rate *)
-            else Some (threads, [ float_of_int threads /. rate *. 1000. ]))
-          results
-      in
-      Report.series ~title:(machine_name m) ~xlabel:"threads" ~cols:[ "ns/op" ] rows)
-    H.machines
+  H.par_grid
+    (fun m threads ->
+      H.throughput ~warm:20_000 ~dur:100_000 m ~threads (fun _ _ -> ignore (R.get_time ())))
+    (List.map (fun m -> (m, H.cores_for ~full m)) H.machines)
+  |> List.iter (fun (m, rates) ->
+         (* per-op cost = threads / aggregate rate *)
+         Report.series ~title:(H.machine_label m) ~xlabel:"threads" ~cols:[ "ns/op" ]
+           (List.map
+              (fun (threads, rate) -> (threads, [ float_of_int threads /. rate *. 1000. ]))
+              rates))
 
 (* ---------- Figure 8b: timestamp generation, atomic vs Ordo ------------ *)
 
 let fig8b ~full =
-  Report.section "Figure 8b: timestamps generated per microsecond per core";
   List.iter
     (fun (m : Machine.t) ->
       let boundary = H.boundary_of m in
@@ -137,20 +124,14 @@ let fig8b ~full =
         let last = ref 0 in
         ((fun _ _ -> last := O.new_time !last), fun _ -> ())
       in
-      match H.par_sweeps ~full ~warm:20_000 ~dur:100_000 m [ atomic; ordo ] with
-      | [ atomics; ordos ] ->
-        let rows =
-          List.map2
-            (fun (threads, a) (_, o) ->
-              (threads, [ a /. float_of_int threads; o /. float_of_int threads; o /. a ]))
-            atomics ordos
-        in
-        Report.series
-          ~title:(Printf.sprintf "%s (boundary %d ns)" (machine_name m) boundary)
-          ~xlabel:"threads"
-          ~cols:[ "atomic/core"; "ordo/core"; "ordo/atomic" ]
-          rows
-      | _ -> assert false)
+      Report.series
+        ~title:(Printf.sprintf "%s (boundary %d ns)" (H.machine_label m) boundary)
+        ~xlabel:"threads"
+        ~cols:[ "atomic/core"; "ordo/core"; "ordo/atomic" ]
+        (List.map
+           (fun (threads, rates) ->
+             (threads, List.map (fun r -> r /. float_of_int threads) rates @ [ ratio rates ]))
+           (H.par_sweeps ~full ~warm:20_000 ~dur:100_000 m [ atomic; ordo ])))
     H.machines
 
 (* ---------- RLU hash-table benchmark (Figures 1, 11, 12, 16) ----------- *)
@@ -173,29 +154,23 @@ let make_rlu_table (module TS : Ordo_core.Timestamp.S) ?defer ~threads ~update_p
 
 let rlu_series ?full ?defer machine ~update_pct =
   (* Each cell builds its own table and timestamp source inside the task. *)
-  match
-    H.par_sweeps ?full machine
-      [
-        (fun ~threads -> make_rlu_table (H.logical_ts ()) ?defer ~threads ~update_pct ());
-        (fun ~threads -> make_rlu_table (H.ordo_ts machine) ?defer ~threads ~update_pct ());
-      ]
-  with
-  | [ logical; ordo ] -> List.map2 (fun (n, a) (_, b) -> (n, [ a; b ])) logical ordo
-  | _ -> assert false
+  H.par_sweeps ?full machine
+    [
+      (fun ~threads -> make_rlu_table (H.logical_ts ()) ?defer ~threads ~update_pct ());
+      (fun ~threads -> make_rlu_table (H.ordo_ts machine) ?defer ~threads ~update_pct ());
+    ]
 
 let fig1 ~full =
-  Report.section "Figure 1: RLU vs RLU_ORDO, hash table 98% reads / 2% updates (Phi)";
   Report.series ~title:"ops/us on xeon-phi" ~xlabel:"threads" ~cols:[ "RLU"; "RLU_ORDO" ]
     (rlu_series ~full Machine.phi ~update_pct:2)
 
 let fig11 ~full =
-  Report.section "Figure 11: RLU hash table, 2% and 40% updates, four machines";
   List.iter
     (fun m ->
       List.iter
         (fun update_pct ->
           Report.series
-            ~title:(Printf.sprintf "%s, %d%% updates (ops/us)" (machine_name m) update_pct)
+            ~title:(Printf.sprintf "%s, %d%% updates (ops/us)" (H.machine_label m) update_pct)
             ~xlabel:"threads"
             ~cols:[ "RLU"; "RLU_ORDO" ]
             (rlu_series ~full m ~update_pct))
@@ -203,14 +178,11 @@ let fig11 ~full =
     H.machines
 
 let fig12 ~full =
-  Report.section "Figure 12: deferral-based RLU, 40% updates (Xeon)";
   Report.series ~title:"ops/us with defer=16" ~xlabel:"threads"
     ~cols:[ "RLU-defer"; "RLU_ORDO-defer" ]
     (rlu_series ~full ~defer:16 Machine.xeon ~update_pct:40)
 
-let fig16 ~full =
-  ignore full;
-  Report.section "Figure 16: RLU_ORDO throughput vs ORDO_BOUNDARY scaling (Xeon, 2% upd)";
+let fig16 ~full:_ =
   let m = Machine.xeon in
   let measured = H.boundary_of m in
   let physical = Topology.physical_cores m.Machine.topo in
@@ -220,28 +192,18 @@ let fig16 ~full =
   let scales = [ 0.125; 0.25; 0.5; 1.0; 2.0; 4.0; 8.0 ] in
   (* All (config, scale) cells are independent tasks; normalization to
      the 1x column happens after the join. *)
-  let cells = List.concat_map (fun c -> List.map (fun s -> (c, s)) scales) configs in
-  let rates =
-    H.par_map
-      (fun ((_, threads), scale) ->
+  let rows =
+    H.par_grid
+      (fun (_, threads) scale ->
         let boundary = max 1 (int_of_float (float_of_int measured *. scale)) in
         let op, finish = make_rlu_table (H.ordo_ts ~boundary m) ~threads ~update_pct:2 () in
         H.throughput ~finish m ~threads op)
-      cells
-  in
-  let rows =
-    List.map2
-      (fun (label, _) per_config ->
-        let base =
-          match
-            List.find_opt (fun (scale, _) -> scale = 1.0) (List.combine scales per_config)
-          with
-          | Some (_, r) when r <> 0.0 -> r
-          | _ -> 1.0
-        in
-        label :: List.map (fun r -> Printf.sprintf "%.3f" (r /. base)) per_config)
-      configs
-      (H.chunks (List.length scales) rates)
+      (List.map (fun c -> (c, scales)) configs)
+    |> List.map (fun ((label, _), per_scale) ->
+           let base =
+             match List.assoc_opt 1.0 per_scale with Some r when r <> 0.0 -> r | _ -> 1.0
+           in
+           label :: List.map (fun (_, r) -> Printf.sprintf "%.3f" (r /. base)) per_scale)
   in
   Report.table
     ~title:
@@ -253,7 +215,6 @@ let fig16 ~full =
 (* ---------- Figure 10: Exim / Oplog ------------------------------------ *)
 
 let fig10 ~full =
-  Report.section "Figure 10: Exim mail server over the reverse map (Xeon)";
   let m = Machine.xeon in
   let run (module M : Ordo_oplog.Rmap.S) ~threads =
     let module E = Ordo_oplog.Exim.Make (R) (M) in
@@ -274,14 +235,11 @@ let fig10 ~full =
         (run (module Ordo_oplog.Rmap.Logged (R) (TS)) ~threads, fun _ -> ()));
     ]
   in
-  match H.par_sweeps ~full ~warm:400_000 ~dur:2_000_000 m variants with
-  | [ vanilla; raw; ordo ] ->
-    Report.series ~title:"messages per millisecond" ~xlabel:"threads"
-      ~cols:[ "Vanilla"; "Oplog"; "Oplog_ORDO" ]
-      (List.map2
-         (fun (n, v) ((_, r), (_, o)) -> (n, [ v *. 1000.; r *. 1000.; o *. 1000. ]))
-         vanilla (List.combine raw ordo))
-  | _ -> assert false
+  Report.series ~title:"messages per millisecond" ~xlabel:"threads"
+    ~cols:[ "Vanilla"; "Oplog"; "Oplog_ORDO" ]
+    (List.map
+       (fun (n, rates) -> (n, List.map (fun r -> r *. 1000.) rates))
+       (H.par_sweeps ~full ~warm:400_000 ~dur:2_000_000 m variants))
 
 (* ---------- Figures 13/14: database concurrency control ---------------- *)
 
@@ -299,39 +257,24 @@ let db_schemes machine : (string * (module Ordo_db.Cc_intf.S)) list =
   ]
 
 let fig13 ~full =
-  Report.section "Figure 13: YCSB read-only transactions (txn/us)";
   let machines = if full then H.machines else [ Machine.xeon; Machine.arm ] in
   (* One task per (machine, threads) cell; the task instantiates all six
      schemes itself ([db_schemes] builds timestamp sources, which must
      not be shared across tasks). *)
-  let cells =
-    List.concat_map (fun m -> List.map (fun t -> (m, t)) (H.cores_for ~full m)) machines
-  in
-  let values =
-    H.par_map
-      (fun (m, threads) ->
-        List.map
-          (fun (_, (module C : Ordo_db.Cc_intf.S)) ->
-            let module Y = Ordo_db.Ycsb.Make (R) (C) in
-            let t = Y.create ~threads () in
-            H.throughput ~warm:50_000 ~dur:200_000 m ~threads (fun _ rng -> Y.run_tx t rng))
-          (db_schemes m))
-      cells
-  in
-  let results = List.combine cells values in
-  List.iter
-    (fun (m : Machine.t) ->
-      let names = List.map fst (db_schemes m) in
-      let series =
-        List.filter_map
-          (fun (((m' : Machine.t), threads), vs) -> if m' == m then Some (threads, vs) else None)
-          results
-      in
-      Report.series ~title:(machine_name m) ~xlabel:"threads" ~cols:names series)
-    machines
+  H.par_grid
+    (fun m threads ->
+      List.map
+        (fun (_, (module C : Ordo_db.Cc_intf.S)) ->
+          let module Y = Ordo_db.Ycsb.Make (R) (C) in
+          let t = Y.create ~threads () in
+          H.throughput ~warm:50_000 ~dur:200_000 m ~threads (fun _ rng -> Y.run_tx t rng))
+        (db_schemes m))
+    (List.map (fun m -> (m, H.cores_for ~full m)) machines)
+  |> List.iter (fun (m, series) ->
+         Report.series ~title:(H.machine_label m) ~xlabel:"threads"
+           ~cols:(List.map fst (db_schemes m)) series)
 
 let fig14 ~full =
-  Report.section "Figure 14: TPC-C (60 warehouses, NewOrder+Payment) on Xeon";
   let m = Machine.xeon in
   let names = List.map fst (db_schemes m) in
   let counts = H.cores_for ~full m in
@@ -359,7 +302,6 @@ let fig14 ~full =
 (* ---------- Figure 15: STAMP / TL2 ------------------------------------- *)
 
 let fig15 ~full =
-  Report.section "Figure 15: STAMP kernels, speedup over sequential (Xeon)";
   let m = Machine.xeon in
   (* Kernel descriptors are pure data, so tasks instantiate their own STM
      modules (a [Stamp.Make] closes over a timestamp source, which must
@@ -381,43 +323,31 @@ let fig15 ~full =
             St.run_seq inst rng))
       (List.init nk Fun.id)
   in
-  let cells =
-    List.concat_map (fun ki -> List.map (fun t -> (ki, t)) counts) (List.init nk Fun.id)
-  in
-  let pairs =
-    H.par_map
-      (fun (ki, threads) ->
-        let l =
-          let module LT = (val H.logical_ts ()) in
-          let module St = Ordo_stm.Stamp.Make (R) (LT) in
-          let inst = St.create (List.nth St.kernels ki) ~threads in
-          H.throughput ~warm:50_000 ~dur:200_000 m ~threads (fun _ rng -> St.run_tx inst rng)
-        in
-        let o =
-          let module OT = (val H.ordo_ts m) in
-          let module St = Ordo_stm.Stamp.Make (R) (OT) in
-          let inst = St.create (List.nth St.kernels ki) ~threads in
-          H.throughput ~warm:50_000 ~dur:200_000 m ~threads (fun _ rng -> St.run_tx inst rng)
-        in
-        (l, o))
-      cells
-  in
-  List.iteri
-    (fun ki name ->
-      let seq = List.nth seq_rates ki in
-      let rows =
-        List.map2
-          (fun threads (l, o) -> (threads, [ l /. seq; o /. seq ]))
-          counts
-          (List.nth (H.chunks (List.length counts) pairs) ki)
+  H.par_grid
+    (fun ki threads ->
+      let l =
+        let module LT = (val H.logical_ts ()) in
+        let module St = Ordo_stm.Stamp.Make (R) (LT) in
+        let inst = St.create (List.nth St.kernels ki) ~threads in
+        H.throughput ~warm:50_000 ~dur:200_000 m ~threads (fun _ rng -> St.run_tx inst rng)
       in
-      Report.series ~title:name ~xlabel:"threads" ~cols:[ "TL2"; "TL2_ORDO" ] rows)
-    kernel_names
+      let o =
+        let module OT = (val H.ordo_ts m) in
+        let module St = Ordo_stm.Stamp.Make (R) (OT) in
+        let inst = St.create (List.nth St.kernels ki) ~threads in
+        H.throughput ~warm:50_000 ~dur:200_000 m ~threads (fun _ rng -> St.run_tx inst rng)
+      in
+      (l, o))
+    (List.init nk (fun ki -> (ki, counts)))
+  |> List.iter2
+       (fun (name, seq) (_, pairs) ->
+         Report.series ~title:name ~xlabel:"threads" ~cols:[ "TL2"; "TL2_ORDO" ]
+           (List.map (fun (threads, (l, o)) -> (threads, [ l /. seq; o /. seq ])) pairs))
+       (List.combine kernel_names seq_rates)
 
 (* ---------- Ablations --------------------------------------------------- *)
 
 let ablate_runs ~full =
-  Report.section "Ablation: offset-measurement run count (min-of-runs convergence, Xeon)";
   (* The paper takes the minimum over 100k rounds to filter interrupt and
      scheduling noise out of the one-way delay.  Repeat each
      configuration as independent trials: few rounds leave noisy
@@ -426,31 +356,23 @@ let ablate_runs ~full =
   let trials = if full then 60 else 25 in
   let runs_list = [ 1; 3; 10; 30; 100 ] in
   (* Every (rounds, trial) pair is an independent task. *)
-  let cells =
-    List.concat_map (fun runs -> List.init trials (fun trial -> (runs, trial))) runs_list
-  in
-  let samples =
-    H.par_map
-      (fun (runs, trial) ->
+  let rows =
+    H.par_grid
+      (fun runs trial ->
         (* Distinct machine seeds per trial: noise draws differ. *)
         let m = { Machine.xeon with Machine.seed = Int64.of_int (trial + 1) } in
         let module E = (val Sim.exec m) in
         let module B = Ordo_core.Boundary.Make (E) in
         float_of_int (B.clock_offset ~runs ~writer ~reader ()))
-      cells
-  in
-  let rows =
-    List.map2
-      (fun runs per_runs ->
-        let s = Ordo_util.Stats.summarize (Array.of_list per_runs) in
-        [
-          string_of_int runs;
-          Printf.sprintf "%.0f" s.Ordo_util.Stats.min;
-          Printf.sprintf "%.0f" s.Ordo_util.Stats.mean;
-          Printf.sprintf "%.0f" s.Ordo_util.Stats.max;
-        ])
-      runs_list
-      (H.chunks trials samples)
+      (List.map (fun runs -> (runs, List.init trials Fun.id)) runs_list)
+    |> List.map (fun (runs, samples) ->
+           let s = Ordo_util.Stats.summarize (Array.of_list (List.map snd samples)) in
+           [
+             string_of_int runs;
+             Printf.sprintf "%.0f" s.Ordo_util.Stats.min;
+             Printf.sprintf "%.0f" s.Ordo_util.Stats.mean;
+             Printf.sprintf "%.0f" s.Ordo_util.Stats.max;
+           ])
   in
   Report.table
     ~title:
@@ -459,9 +381,7 @@ let ablate_runs ~full =
     ~header:[ "rounds"; "min"; "mean"; "max" ]
     rows
 
-let ablate_rtt ~full =
-  ignore full;
-  Report.section "Ablation: NTP-style RTT/2 averaging vs the paper's directional maximum";
+let ablate_rtt ~full:_ =
   (* RTT/2 averaging cancels the skew out of the estimate, so the bound it
      produces is *smaller* than the physical offset — unsound for ordering
      (paper Figures 2 vs 5).  Demonstrated on the ARM preset (500 ns
@@ -491,9 +411,7 @@ let ablate_rtt ~full =
       ];
     ]
 
-let ablate_uncertain ~full =
-  ignore full;
-  Report.section "Ablation: OCC_ORDO boundary inflation (uncertainty aborts vs waits)";
+let ablate_uncertain ~full:_ =
   let m = Machine.xeon in
   let measured = H.boundary_of m in
   let threads = Topology.physical_cores m.Machine.topo in
@@ -521,9 +439,7 @@ let ablate_uncertain ~full =
     ~header:[ "boundary"; "txn/us"; "abort rate" ]
     rows
 
-let ablate_rlu_margin ~full =
-  ignore full;
-  Report.section "Ablation: RLU boundary soundness and commit margin (Section 4.1)";
+let ablate_rlu_margin ~full:_ =
   (* The commit clock must dominate every reader clock before readers may
      steal.  With the *measured* boundary (which covers the skew) the
      algorithm is safe with or without the extra margin; with an
@@ -617,29 +533,22 @@ let make_rlu_tree (module TS : Ordo_core.Timestamp.S) ~threads ~update_pct () =
   (op, finish)
 
 let fig11_tree ~full =
-  Report.section "Figure 11 (citrus tree): RLU search tree, Xeon";
   (* Section 6.4: the tree benchmark shows the same ~2x improvement as
      the hash table, with more complex multi-object updates. *)
   List.iter
     (fun update_pct ->
-      match
-        H.par_sweeps ~full Machine.xeon
-          [
-            (fun ~threads -> make_rlu_tree (H.logical_ts ()) ~threads ~update_pct ());
-            (fun ~threads -> make_rlu_tree (H.ordo_ts Machine.xeon) ~threads ~update_pct ());
-          ]
-      with
-      | [ logical; ordo ] ->
-        Report.series
-          ~title:(Printf.sprintf "xeon tree, %d%% updates (ops/us)" update_pct)
-          ~xlabel:"threads"
-          ~cols:[ "RLU"; "RLU_ORDO" ]
-          (List.map2 (fun (n, a) (_, b) -> (n, [ a; b ])) logical ordo)
-      | _ -> assert false)
+      Report.series
+        ~title:(Printf.sprintf "xeon tree, %d%% updates (ops/us)" update_pct)
+        ~xlabel:"threads"
+        ~cols:[ "RLU"; "RLU_ORDO" ]
+        (H.par_sweeps ~full Machine.xeon
+           [
+             (fun ~threads -> make_rlu_tree (H.logical_ts ()) ~threads ~update_pct ());
+             (fun ~threads -> make_rlu_tree (H.ordo_ts Machine.xeon) ~threads ~update_pct ());
+           ]))
     [ 2; 40 ]
 
 let ext_wal ~full =
-  Report.section "Extension (Section 7): WAL LSN allocation, logical vs Ordo";
   let m = Machine.xeon in
   let make (module TS : Ordo_core.Timestamp.S) ~threads =
     let module W = Ordo_db.Wal.Make (R) (TS) in
@@ -661,15 +570,13 @@ let ext_wal ~full =
         (make (module TS : Ordo_core.Timestamp.S) ~threads, fun _ -> ()));
     ]
   in
-  match H.par_sweeps ~full ~warm:50_000 ~dur:200_000 m variants with
-  | [ logical; ordo ] ->
-    Report.series ~title:"log appends/us" ~xlabel:"threads"
-      ~cols:[ "logical LSN"; "ordo LSN"; "speedup" ]
-      (List.map2 (fun (n, l) (_, o) -> (n, [ l; o; o /. l ])) logical ordo)
-  | _ -> assert false
+  Report.series ~title:"log appends/us" ~xlabel:"threads"
+    ~cols:[ "logical LSN"; "ordo LSN"; "speedup" ]
+    (List.map
+       (fun (n, rates) -> (n, rates @ [ ratio rates ]))
+       (H.par_sweeps ~full ~warm:50_000 ~dur:200_000 m variants))
 
 let ext_tsstack ~full =
-  Report.section "Extension (Section 2/7): timestamped stack vs Treiber stack";
   let m = Machine.xeon in
   (* Baseline: a centralized Treiber stack (CAS on one top-of-stack
      line). *)
@@ -704,16 +611,11 @@ let ext_tsstack ~full =
       (fun ~threads -> (make_ts ~threads, fun _ -> ()));
     ]
   in
-  match H.par_sweeps ~full ~warm:50_000 ~dur:150_000 m variants with
-  | [ treiber; ts ] ->
-    Report.series ~title:"stack ops/us (50% push / 50% pop)" ~xlabel:"threads"
-      ~cols:[ "Treiber"; "TS-stack(ordo)" ]
-      (List.map2 (fun (n, t) (_, s) -> (n, [ t; s ])) treiber ts)
-  | _ -> assert false
+  Report.series ~title:"stack ops/us (50% push / 50% pop)" ~xlabel:"threads"
+    ~cols:[ "Treiber"; "TS-stack(ordo)" ]
+    (H.par_sweeps ~full ~warm:50_000 ~dur:150_000 m variants)
 
-let ext_tpcc_full ~full =
-  ignore full;
-  Report.section "Extension: full five-transaction TPC-C mix (Xeon, 120 threads)";
+let ext_tpcc_full ~full:_ =
   let m = Machine.xeon in
   let threads = 120 in
   (* One task per scheme; each task instantiates its own scheme by
@@ -742,7 +644,6 @@ let ext_tpcc_full ~full =
     rows
 
 let ablate_pairwise ~full =
-  Report.section "Ablation (Section 7): per-pair boundary table vs one global boundary";
   let m = Machine.xeon in
   let module E = (val Sim.exec m) in
   let module B = Ordo_core.Boundary.Make (E) in
@@ -786,11 +687,148 @@ let ablate_pairwise ~full =
   Report.kv "memory cost of the full table (the paper's objection)"
     (Printf.sprintf "%d^2 = %d words (vs 1)" (Topology.total_threads topo) words_full)
 
+(* ---------- Observability: coherence traffic of timestamp generation --
+
+   Rerun the timestamp-generation race (the Figure 8b workload) under the
+   event sink and print the coherence traffic that explains the
+   throughput gap: the logical clock's global counter line is
+   transferred and invalidated on every allocation, while Ordo's
+   core-local reads generate none. *)
+
+let trace_source ~full machine label (make_ts : unit -> (module Ordo_core.Timestamp.S)) =
+  let module Metrics = Ordo_trace.Metrics in
+  let counts = H.cores_for ~full machine in
+  let last = List.fold_left max 1 counts in
+  (* Each cell installs its own trace sink — sinks are domain-local, so
+     concurrent cells on pool domains do not interleave events. *)
+  let cells =
+    H.par_map
+      (fun threads ->
+        let (module T) = make_ts () in
+        Trace.start ~capacity:4096 ();
+        let thr =
+          H.throughput ~warm:20_000 ~dur:120_000 machine ~threads (fun _ _ ->
+              ignore (T.advance () : int))
+        in
+        let t = Trace.stop () in
+        (threads, thr, t))
+      counts
+  in
+  let final_trace = ref None in
+  let rows =
+    List.map
+      (fun (threads, thr, t) ->
+        if threads = last then final_trace := Some t;
+        let total, _ = Metrics.totals t in
+        [
+          string_of_int threads;
+          Printf.sprintf "%.2f" thr;
+          string_of_int (Metrics.transfers_total total);
+          string_of_int total.Trace.transfers.(Trace.cls_l1);
+          string_of_int total.Trace.transfers.(Trace.cls_llc);
+          string_of_int total.Trace.transfers.(Trace.cls_mesh);
+          string_of_int total.Trace.transfers.(Trace.cls_cross);
+          string_of_int total.Trace.transfers.(Trace.cls_mem);
+          string_of_int total.Trace.invalidations;
+          string_of_int total.Trace.stall_ns;
+          string_of_int total.Trace.clock_reads;
+        ])
+      cells
+  in
+  Report.table
+    ~title:
+      (Printf.sprintf "%s: throughput vs coherence traffic (%s)" label (H.machine_label machine))
+    ~header:
+      [
+        "threads"; "ops/us"; "xfer"; "l1"; "llc"; "mesh"; "cross"; "mem"; "inval"; "stall_ns";
+        "clk";
+      ]
+    rows;
+  match !final_trace with None -> () | Some t -> Metrics.print ~label t
+
+let trace ~full =
+  let machine = Machine.xeon in
+  (* Measure the boundary before installing the sink so the measurement
+     itself stays untraced. *)
+  let boundary = H.boundary_of machine in
+  Report.kv "measured ORDO_BOUNDARY (ns)" (string_of_int boundary);
+  trace_source ~full machine "logical" H.logical_ts;
+  trace_source ~full machine "ordo" (fun () -> H.ordo_ts ~boundary machine)
+
+(* ---------- Correctness: race-detector verdict pass --------------------
+
+   Run every workload and every seeded-defect fixture under the dynamic
+   race detector and print the verdicts side by side: the correct
+   protocols must come out clean, the seeded defects must fire.  Each
+   cell is one pool task with its own domain-local detector sink, so
+   [--jobs n] output stays byte-identical. *)
+
+let analyze ~full =
+  let module Race = Ordo_analyze.Race in
+  let machine = Machine.xeon in
+  let boundary = H.boundary_of machine in
+  Report.kv "measured ORDO_BOUNDARY (ns)" (string_of_int boundary);
+  let threads = if full then Topology.total_threads machine.Machine.topo else 16 in
+  let dur = if full then 400_000 else 150_000 in
+  let cells =
+    H.par_map
+      (fun (name, expect_clean) ->
+        let ts = H.ordo_ts ~boundary machine in
+        Race.start ~boundary ~threads:(Topology.total_threads machine.Machine.topo) ();
+        ignore
+          (Ordo_workloads.Workloads.run name ~report:false machine ts ~threads ~dur
+            : Ordo_sim.Engine.stats);
+        (name, expect_clean, Race.stop ()))
+      (* (workload, detector must stay silent on it) *)
+      [
+        ("rlu", true);
+        ("occ", true);
+        ("tl2", true);
+        ("hekaton", true);
+        ("oplog", true);
+        ("race", false);
+        ("window", false);
+        ("handshake", true);
+      ]
+  in
+  let bad = ref 0 in
+  let rows =
+    List.map
+      (fun (name, expect_clean, (r : Race.report)) ->
+        let clean = Race.ok r in
+        if clean <> expect_clean then incr bad;
+        let verdict =
+          match (clean, expect_clean) with
+          | true, true -> "clean"
+          | false, false ->
+            Printf.sprintf "fires (%d races, %d uncertain) [seeded]" (Race.races r)
+              (Race.uncertain r)
+          | true, false -> "SILENT on a seeded defect"
+          | false, true -> Printf.sprintf "UNEXPECTED: %d conflicts" r.Race.total_conflicts
+        in
+        [
+          name;
+          string_of_int r.Race.accesses;
+          string_of_int r.Race.syncs;
+          string_of_int r.Race.published;
+          string_of_int r.Race.ts_edges;
+          string_of_int r.Race.ts_uncertain;
+          string_of_int r.Race.total_conflicts;
+          verdict;
+        ])
+      cells
+  in
+  Report.table ~title:(Printf.sprintf "detector verdicts (%s)" (H.machine_label machine))
+    ~header:
+      [ "workload"; "accesses"; "syncs"; "stamps"; "ts_edges"; "uncert_cmp"; "conflicts"; "verdict" ]
+    rows;
+  Report.kv "verdicts matching expectation"
+    (Printf.sprintf "%d/%d%s" (List.length cells - !bad) (List.length cells)
+       (if !bad > 0 then " — MISMATCH" else ""))
+
 (* ---------- Extension: clock-fault dip and recovery -------------------- *)
 
 let ext_hazard ~full =
-  Report.section
-    "Extension: clock faults under the boundary guard - throughput dip and recovery (AMD)";
   (* Windowed throughput of an OCC workload through a dvfs clock fault:
      the hazard-free guarded run sets the baseline (the guard's sampling
      overhead is the gap to it); the guarded runs absorb the fault and
@@ -799,8 +837,6 @@ let ext_hazard ~full =
      silently corrupts ordering - which only the offline checker sees. *)
   let module Scenario = Ordo_hazard.Scenario in
   let module Timeline = Ordo_hazard.Timeline in
-  let module Trace = Ordo_trace.Trace in
-  let module Checker = Ordo_trace.Checker in
   let module Guard = Ordo_core.Guard in
   let m = Machine.amd in
   let boundary = H.boundary_of m in
@@ -925,22 +961,14 @@ let cluster ~full =
   let module Net = Ordo_cluster.Net in
   let module Compose = Ordo_cluster.Compose in
   let module Kv = Ordo_cluster.Kv in
-  let module Trace = Ordo_trace.Trace in
-  let module Checker = Ordo_trace.Checker in
-  Report.section
-    "Cluster: sharded KV across nodes - central sequencer vs composed-Ordo timestamps";
   let shards_list = if full then [ 1; 2; 4; 6; 8 ] else [ 1; 2; 4; 8 ] in
   let dur = if full then 400_000 else 150_000 in
-  let sources = [ Kv.Logical; Kv.Ordo ] in
-  let cells =
-    List.concat_map (fun src -> List.map (fun s -> (src, s)) shards_list) sources
-  in
   (* Each cell builds its whole cluster (nodes, links, measurement, run)
      inside the task, so cells are independent and the tables are
      byte-identical for any --jobs count. *)
   let results =
-    H.par_map
-      (fun (src, shards) ->
+    H.par_grid
+      (fun src shards ->
         let spec = Net.Spec.make ~machine:"amd" shards in
         let c = Compose.measure spec in
         let boundary =
@@ -952,9 +980,9 @@ let cluster ~full =
         let t = Trace.stop () in
         let rep = Checker.check ~boundary t in
         (r, rep, c.Compose.boundary))
-      cells
+      (List.map (fun src -> (src, shards_list)) [ Kv.Logical; Kv.Ordo ])
   in
-  let fmt_row ((r : Kv.result), (rep : Checker.report), cb) shards =
+  let fmt_row (shards, ((r : Kv.result), (rep : Checker.report), cb)) =
     [
       string_of_int shards;
       string_of_int cb;
@@ -975,19 +1003,14 @@ let cluster ~full =
       "msgs"; "waits"; "checker";
     ]
   in
-  List.iteri
-    (fun i src ->
-      let rows =
-        List.map2 fmt_row
-          (H.chunks (List.length shards_list) results |> Fun.flip List.nth i)
-          shards_list
-      in
+  List.iter
+    (fun (src, cells) ->
       Report.table
         ~title:
           (Printf.sprintf "cross-shard KV scaling, %s source (open loop, %d ns arrivals)"
              (Kv.source_name src) Kv.default.Kv.arrival_ns)
-        ~header rows)
-    sources;
+        ~header (List.map fmt_row cells))
+    results;
   (* The composed source is an ordinary Timestamp.S, so single-machine
      substrates run unchanged inside any node of the cluster. *)
   let spec = Net.Spec.make ~machine:"amd" 3 in
@@ -1060,8 +1083,6 @@ let live_smoke ~full =
   let boundary = Ordo_sched.Live.boundary ~runs:(if full then 25 else 8) ~workers () in
   let module T = (val Ordo_sched.Live.ordo_source ~boundary ()) in
   let module P = Ordo_sched.Pool.Make (Ordo_runtime.Real.Exec) (T) in
-  let module Trace = Ordo_trace.Trace in
-  let module Checker = Ordo_trace.Checker in
   let tasks = 64 in
   Trace.start ~capacity:65536 ();
   let sum, certified, pool =
@@ -1149,7 +1170,6 @@ let live_rates ~full =
        rows)
 
 let live ~full =
-  Report.section "Live: Ordo-timestamped work-stealing pool on OCaml 5 domains";
   live_smoke ~full;
   if !H.live then live_rates ~full
   else
@@ -1169,7 +1189,6 @@ let mcheck ~full =
   let module Mc = Ordo_mcheck.Mcheck in
   let module Suites = Ordo_mcheck.Suites in
   let module Mutants = Ordo_mutants.Mutants in
-  Report.section "Correctness: DPOR model checking of the lock-free layer";
   let cfg mode =
     { Mc.default with Mc.mode; spin_bound = 8; max_interleavings = 4_000_000 }
   in
@@ -1248,9 +1267,6 @@ let service ~full =
   let module Chaos = Ordo_service.Chaos in
   let module Sessions = Ordo_workloads.Sessions in
   let module Node_fault = Ordo_hazard.Node_fault in
-  let module Trace = Ordo_trace.Trace in
-  let module Checker = Ordo_trace.Checker in
-  Report.section "Service: replicated, admission-controlled session front-end";
   let sessions_list = if full then [ 120; 240; 480 ] else [ 60; 120; 240 ] in
   let dur = if full then 250_000 else 100_000 in
   (* One cell = one whole cluster (spec, boundary measurement, run,
@@ -1282,11 +1298,10 @@ let service ~full =
   in
   (* (1) epoch group commit vs per-transaction commit wait. *)
   let series = [ ("epoch group-commit", Svc.default.Svc.epoch_ns); ("per-txn wait", 0) ] in
-  let cells =
-    List.concat_map (fun (_, e) -> List.map (fun s -> (e, s)) sessions_list) series
-  in
   let results =
-    H.par_map (fun (epoch, sessions) -> cell ~replicas:2 ~epoch sessions) cells
+    H.par_grid
+      (fun (_, epoch) sessions -> cell ~replicas:2 ~epoch sessions)
+      (List.map (fun s -> (s, sessions_list)) series)
   in
   let header =
     [
@@ -1294,31 +1309,28 @@ let service ~full =
       "p99 ns"; "invariants"; "checker";
     ]
   in
-  List.iteri
-    (fun i (label, e) ->
-      let rows =
-        List.map2
-          (fun ((r : Svc.result), rep) sessions ->
-            [
-              string_of_int sessions;
-              string_of_int r.Svc.committed;
-              string_of_int r.Svc.cross_committed;
-              string_of_int r.Svc.commit_waits;
-              string_of_int r.Svc.wait_ns;
-              Printf.sprintf "%.2f" r.Svc.throughput;
-              Printf.sprintf "%.0f" r.Svc.p50_ns;
-              Printf.sprintf "%.0f" r.Svc.p99_ns;
-              invariants r;
-              verdict rep;
-            ])
-          (List.nth (H.chunks (List.length sessions_list) results) i)
-          sessions_list
-      in
+  List.iter
+    (fun ((label, e), cells) ->
       Report.table
         ~title:
           (Printf.sprintf "2 groups x 2 replicas, %s (epoch_ns=%d)" label e)
-        ~header rows)
-    series;
+        ~header
+        (List.map
+           (fun (sessions, ((r : Svc.result), rep)) ->
+             [
+               string_of_int sessions;
+               string_of_int r.Svc.committed;
+               string_of_int r.Svc.cross_committed;
+               string_of_int r.Svc.commit_waits;
+               string_of_int r.Svc.wait_ns;
+               Printf.sprintf "%.2f" r.Svc.throughput;
+               Printf.sprintf "%.0f" r.Svc.p50_ns;
+               Printf.sprintf "%.0f" r.Svc.p99_ns;
+               invariants r;
+               verdict rep;
+             ])
+           cells))
+    results;
   (* (2) replication on/off at fixed load. *)
   let reps = if full then [ 1; 2; 3 ] else [ 1; 2 ] in
   let sess = List.nth sessions_list 1 in
@@ -1364,7 +1376,7 @@ let service ~full =
   List.iter
     (fun ((r : Svc.result), _) ->
       H.add_net_work ~pops:r.Svc.net_pops ~restamps:r.Svc.net_restamps)
-    (results @ rres @ List.map snd chaos);
+    (List.concat_map (fun (_, cells) -> List.map snd cells) results @ rres @ List.map snd chaos);
   List.iter
     (fun (name, ((r : Svc.result), rep)) ->
       Report.table
@@ -1388,3 +1400,59 @@ let service ~full =
         ];
       List.iter (fun e -> print_endline ("  " ^ Chaos.describe_event e)) r.Svc.timeline)
     chaos
+
+(* ---------- The experiment table -------------------------------------- *)
+
+(* Every experiment the driver knows, in its default run order:
+   (name on the command line, section title printed before the body,
+   body). *)
+let all : (string * string * (full:bool -> unit)) list =
+  [
+    ("tab1", "Table 1: machines and measured clock offsets", tab1);
+    ("fig1", "Figure 1: RLU vs RLU_ORDO, hash table 98% reads / 2% updates (Phi)", fig1);
+    ("fig8a", "Figure 8a: hardware timestamp cost (ns) vs threads", fig8a);
+    ("fig8b", "Figure 8b: timestamps generated per microsecond per core", fig8b);
+    ("fig9", "Figure 9: pairwise clock offsets (writer row -> reader column)", fig9);
+    ("fig10", "Figure 10: Exim mail server over the reverse map (Xeon)", fig10);
+    ("fig11", "Figure 11: RLU hash table, 2% and 40% updates, four machines", fig11);
+    ("fig12", "Figure 12: deferral-based RLU, 40% updates (Xeon)", fig12);
+    ("fig13", "Figure 13: YCSB read-only transactions (txn/us)", fig13);
+    ("fig14", "Figure 14: TPC-C (60 warehouses, NewOrder+Payment) on Xeon", fig14);
+    ("fig15", "Figure 15: STAMP kernels, speedup over sequential (Xeon)", fig15);
+    ("fig16", "Figure 16: RLU_ORDO throughput vs ORDO_BOUNDARY scaling (Xeon, 2% upd)", fig16);
+    ("fig11t", "Figure 11 (citrus tree): RLU search tree, Xeon", fig11_tree);
+    ("ext_wal", "Extension (Section 7): WAL LSN allocation, logical vs Ordo", ext_wal);
+    ("ext_tsstack", "Extension (Section 2/7): timestamped stack vs Treiber stack", ext_tsstack);
+    ( "ext_tpcc_full",
+      "Extension: full five-transaction TPC-C mix (Xeon, 120 threads)",
+      ext_tpcc_full );
+    ( "ablate_runs",
+      "Ablation: offset-measurement run count (min-of-runs convergence, Xeon)",
+      ablate_runs );
+    ( "ablate_pairwise",
+      "Ablation (Section 7): per-pair boundary table vs one global boundary",
+      ablate_pairwise );
+    ( "ablate_rtt",
+      "Ablation: NTP-style RTT/2 averaging vs the paper's directional maximum",
+      ablate_rtt );
+    ( "ablate_uncertain",
+      "Ablation: OCC_ORDO boundary inflation (uncertainty aborts vs waits)",
+      ablate_uncertain );
+    ( "ablate_rlu_margin",
+      "Ablation: RLU boundary soundness and commit margin (Section 4.1)",
+      ablate_rlu_margin );
+    ("trace", "Observability: coherence traffic of timestamp generation", trace);
+    ("analyze", "Correctness: race-detector verdicts over workloads and seeded fixtures", analyze);
+    ( "hazard",
+      "Extension: clock faults under the boundary guard - throughput dip and recovery (AMD)",
+      ext_hazard );
+    ("mcheck", "Correctness: DPOR model checking of the lock-free layer", mcheck);
+    ( "cluster",
+      "Cluster: sharded KV across nodes - central sequencer vs composed-Ordo timestamps",
+      cluster );
+    ("service", "Service: replicated, admission-controlled session front-end", service);
+    (* [Micro.run]'s first table is the event-queue section; it prints the
+       other two sections' titles itself. *)
+    ("micro", "Event queue: wheel vs heap (push/pop pair, live host)", fun ~full:_ -> Micro.run ());
+    ("live", "Live: Ordo-timestamped work-stealing pool on OCaml 5 domains", live);
+  ]

@@ -25,8 +25,24 @@ let machine_label (m : Machine.t) = m.Machine.topo.Topology.name
    timestamp source between tasks would race across domains. *)
 
 let jobs = ref 1
-let par_run tasks = Ordo_sim.Pool.run ~jobs:!jobs tasks
 let par_map f xs = Ordo_sim.Pool.map ~jobs:!jobs f xs
+
+(* A table of cells: every [(row, cell)] pair of [rows] is one pool task
+   [f row cell], all of them in one flat task list so rows run side by
+   side.  Rows may differ in length.  Returns each row with its cells
+   paired with their results, in the order given. *)
+let par_grid f rows =
+  let results =
+    Array.of_list
+      (par_map
+         (fun (row, cell) -> f row cell)
+         (List.concat_map (fun (row, cells) -> List.map (fun c -> (row, c)) cells) rows))
+  in
+  snd
+    (List.fold_left_map
+       (fun off (row, cells) ->
+         (off + List.length cells, (row, List.mapi (fun i c -> (c, results.(off + i))) cells)))
+       0 rows)
 
 (* Opt-in gate for live multi-domain throughput measurement (the [live]
    experiment's table).  Off by default so the stock bench output stays
@@ -43,22 +59,6 @@ let net_work : (int * int) option ref = ref None
 let add_net_work ~pops ~restamps =
   let p, r = Option.value !net_work ~default:(0, 0) in
   net_work := Some (p + pops, r + restamps)
-
-(* Split [xs] into consecutive chunks of [n] — the inverse of flattening
-   a list of per-series cell lists into one task list. *)
-let rec chunks n xs =
-  if xs = [] then []
-  else begin
-    let rec take k = function
-      | rest when k = 0 -> ([], rest)
-      | [] -> ([], [])
-      | x :: rest ->
-        let l, r = take (k - 1) rest in
-        (x :: l, r)
-    in
-    let chunk, rest = take n xs in
-    chunk :: chunks n rest
-  end
 
 (* Thread counts swept for a machine: physical cores socket by socket,
    then SMT lanes, like the paper's x axes. *)
@@ -145,30 +145,15 @@ let throughput ?(warm = 100_000) ?(dur = 400_000) ?(finish = fun _ -> ()) machin
       : Ordo_sim.Engine.stats);
   float_of_int (Array.fold_left ( + ) 0 ops) /. (float_of_int dur /. 1000.)
 
-(* Sweep thread counts, building each configuration fresh via [make],
-   which returns the per-op closure and a per-thread teardown. *)
-let sweep ?full ?warm ?dur machine make =
-  List.map
-    (fun threads ->
-      let op, finish = make ~threads in
-      (threads, throughput ?warm ?dur ~finish machine ~threads op))
-    (cores_for ?full machine)
-
-(* Several labelled series over the same machine and thread counts, every
-   (series, threads) cell one pool task.  Each [make] builds its whole
-   configuration inside the task.  Returns one [(threads, rate) list] per
-   series, in the order of [makes]. *)
+(* Several series over the same machine and thread counts, every
+   (threads, series) cell one pool task.  Each [make] builds its whole
+   configuration inside the task (the per-op closure and a per-thread
+   teardown).  Returns one [(threads, rates)] row
+   per thread count, the rates in the order of [makes]. *)
 let par_sweeps ?full ?warm ?dur machine makes =
-  let counts = cores_for ?full machine in
-  let tasks =
-    List.concat_map
-      (fun make ->
-        List.map
-          (fun threads () ->
-            let op, finish = make ~threads in
-            throughput ?warm ?dur ~finish machine ~threads op)
-          counts)
-      makes
-  in
-  let results = par_run tasks in
-  List.map (List.combine counts) (chunks (List.length counts) results)
+  par_grid
+    (fun threads make ->
+      let op, finish = make ~threads in
+      throughput ?warm ?dur ~finish machine ~threads op)
+    (List.map (fun threads -> (threads, makes)) (cores_for ?full machine))
+  |> List.map (fun (threads, cells) -> (threads, List.map snd cells))

@@ -1,4 +1,5 @@
-(* Benchmark harness entry point.
+(* Benchmark harness entry point: runs entries of [Experiments.all], each
+   under its section title.
 
    With no arguments, regenerates every table and figure of the paper at a
    reduced scale, runs the ablation studies and the live-host Bechamel
@@ -13,136 +14,51 @@
    network's pops and re-stamps where an experiment runs the service),
    and the engine's single-thread throughput probes. *)
 
-let experiments : (string * string * (full:bool -> unit)) list =
-  [
-    ("tab1", "Table 1: machines and measured clock offsets", Experiments.tab1);
-    ("fig1", "Figure 1: RLU vs RLU_ORDO on Phi, 2% updates", Experiments.fig1);
-    ("fig8a", "Figure 8a: timestamp cost vs threads", Experiments.fig8a);
-    ("fig8b", "Figure 8b: timestamp generation, atomic vs Ordo", Experiments.fig8b);
-    ("fig9", "Figure 9: pairwise offset heatmaps", Experiments.fig9);
-    ("fig10", "Figure 10: Exim over the reverse map", Experiments.fig10);
-    ("fig11", "Figure 11: RLU hash table on four machines", Experiments.fig11);
-    ("fig12", "Figure 12: deferral-based RLU", Experiments.fig12);
-    ("fig13", "Figure 13: YCSB read-only CC comparison", Experiments.fig13);
-    ("fig14", "Figure 14: TPC-C throughput and abort rate", Experiments.fig14);
-    ("fig15", "Figure 15: STAMP kernels on TL2", Experiments.fig15);
-    ("fig16", "Figure 16: ORDO_BOUNDARY sensitivity", Experiments.fig16);
-    ("fig11t", "Figure 11 extension: RLU citrus tree", Experiments.fig11_tree);
-    ("ext_wal", "Extension: WAL LSN allocation", Experiments.ext_wal);
-    ("ext_tsstack", "Extension: timestamped stack vs Treiber", Experiments.ext_tsstack);
-    ("ext_tpcc_full", "Extension: full TPC-C mix", Experiments.ext_tpcc_full);
-    ("ablate_runs", "Ablation: min-of-runs convergence", Experiments.ablate_runs);
-    ("ablate_pairwise", "Ablation: per-pair boundary table", Experiments.ablate_pairwise);
-    ("ablate_rtt", "Ablation: RTT/2 vs directional max", Experiments.ablate_rtt);
-    ("ablate_uncertain", "Ablation: OCC_ORDO boundary inflation", Experiments.ablate_uncertain);
-    ("ablate_rlu_margin", "Ablation: RLU commit margin", Experiments.ablate_rlu_margin);
-    ("trace", "Observability: coherence traffic of timestamp generation", Report.trace_report);
-    ( "analyze",
-      "Correctness: race-detector verdicts over workloads and seeded fixtures",
-      Report.analyze_report );
-    ("hazard", "Extension: clock-fault dip and recovery under the guard", Experiments.ext_hazard);
-    ( "mcheck",
-      "Correctness: DPOR model checking, explored vs pruned interleavings",
-      Experiments.mcheck );
-    ( "cluster",
-      "Cluster: sharded KV, central sequencer vs composed-Ordo timestamps",
-      Experiments.cluster );
-    ( "service",
-      "Service: replicated session front-end, epoch commit + chaos failover",
-      Experiments.service );
-    ("micro", "Live-host microbenchmarks (Bechamel)", fun ~full:_ -> Micro.run ());
-    ( "live",
-      "Live: work-stealing pool on OCaml 5 domains (throughput opt-in via --live)",
-      Experiments.live );
-  ]
-
-(* Engine single-thread before/after of the latest engine change (one
-   heap block per cell and its line), measured with identical standalone
-   drivers (the [Perfprobe] workloads, same run counts, thread placements
-   and seeds) built at the baseline commit and at this tree, interleaved
-   run-for-run on the same host, taking the best wall time across 7
-   rounds of 3 runs.  Recorded as constants because a live comparison
-   would need the old binary around; the [--json] record also carries
-   this run's live probe numbers, which drift with host load (~10% on
-   this shared box). *)
-let baseline_commit = "841d3c8"
-
-(* (name, baseline events/s, optimized events/s) *)
-let recorded_engine : (string * float * float) list =
-  [
-    ("rmw", 4_727_161., 4_847_555.);
-    ("shared", 8_269_444., 7_990_115.);
-    ("sched", 6_750_671., 7_821_761.);
-    ("lines", 2_024_353., 3_172_933.);
-  ]
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Report = Ordo_util.Report
 
 let write_json path ~jobs ~full ~probes records total_wall total_events =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"jobs\": %d,\n" jobs;
-  p "  \"host_cpus\": %d,\n" (Domain.recommended_domain_count ());
-  p "  \"full\": %b,\n" full;
-  p "  \"total\": { \"wall_s\": %.3f, \"events\": %d, \"events_per_s\": %.0f },\n" total_wall
-    total_events
-    (if total_wall > 0.0 then float_of_int total_events /. total_wall else 0.0);
-  p "  \"experiments\": [\n";
-  List.iteri
-    (fun i (name, wall, events, net) ->
-      p "    { \"name\": \"%s\", \"wall_s\": %.3f, \"events\": %d%s }%s\n" (json_escape name)
-        wall events
-        (match net with
-        | None -> ""
-        | Some (pops, restamps) ->
-          Printf.sprintf ", \"net_pops\": %d, \"net_restamps\": %d" pops restamps)
-        (if i = List.length records - 1 then "" else ","))
-    records;
-  p "  ],\n";
-  p "  \"engine_single_thread\": {\n";
-  p "    \"live_probes\": [\n";
-  List.iteri
-    (fun i (r : Perfprobe.result) ->
-      p
-        "      { \"name\": \"%s\", \"events\": %d, \"wall_s\": %.3f, \"events_per_s\": %.0f, \
-         \"minor_words_per_event\": %.3f }%s\n"
-        (json_escape r.Perfprobe.name) r.Perfprobe.events r.Perfprobe.wall_s
-        r.Perfprobe.events_per_s r.Perfprobe.minor_words_per_event
-        (if i = List.length probes - 1 then "" else ","))
-    probes;
-  p "    ],\n";
-  p "    \"recorded\": {\n";
-  p "      \"baseline_commit\": \"%s\",\n" baseline_commit;
-  p
-    "      \"method\": \"identical standalone probe drivers at the baseline commit and this \
-     tree, interleaved on one host, best wall across 7 rounds of 3 runs\",\n";
-  p "      \"profiles\": [\n";
-  List.iteri
-    (fun i (name, base, opt) ->
-      p
-        "        { \"name\": \"%s\", \"baseline_events_per_s\": %.0f, \
-         \"optimized_events_per_s\": %.0f, \"speedup\": %.3f }%s\n"
-        (json_escape name) base opt (opt /. base)
-        (if i = List.length recorded_engine - 1 then "" else ","))
-    recorded_engine;
-  p "      ]\n";
-  p "    }\n";
-  p "  }\n";
-  p "}\n";
-  close_out oc;
+  let open Perfgate in
+  let int i = Num (float_of_int i) in
+  let experiment (name, wall, events, net) =
+    let net =
+      match net with
+      | None -> []
+      | Some (pops, restamps) -> [ ("net_pops", int pops); ("net_restamps", int restamps) ]
+    in
+    Obj ([ ("name", Str name); ("wall_s", Num wall); ("events", int events) ] @ net)
+  in
+  let probe (r : Perfprobe.result) =
+    Obj
+      [
+        ("name", Str r.name);
+        ("events", int r.events);
+        ("wall_s", Num r.wall_s);
+        ("events_per_s", Num (Float.round r.events_per_s));
+        ("minor_words_per_event", Num r.minor_words_per_event);
+      ]
+  in
+  let per_s = if total_wall > 0.0 then float_of_int total_events /. total_wall else 0.0 in
+  let record =
+    Obj
+      [
+        ("jobs", int jobs);
+        ("host_cpus", int (Domain.recommended_domain_count ()));
+        ("full", Bool full);
+        ( "total",
+          Obj
+            [
+              ("wall_s", Num total_wall);
+              ("events", int total_events);
+              ("events_per_s", Num (Float.round per_s));
+            ] );
+        ("experiments", Arr (List.map experiment records));
+        ("engine_single_thread", Obj [ ("live_probes", Arr (List.map probe probes)) ]);
+      ]
+  in
+  Out_channel.with_open_text path (fun oc -> output_string oc (to_string record));
   Printf.printf "perf record written to %s\n%!" path
+
+let all_names = List.map (fun (n, _, _) -> n) Experiments.all
 
 let run_experiments names full jobs json check_against analyze live =
   if jobs < 1 then begin
@@ -160,20 +76,19 @@ let run_experiments names full jobs json check_against analyze live =
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 22 };
   Harness.jobs := jobs;
   Harness.live := live;
-  let all = List.map (fun (n, _, _) -> n) experiments in
   let selected =
     match (names, analyze) with
     | [], true -> [ "analyze" ]
     | names, true when not (List.mem "analyze" names) -> names @ [ "analyze" ]
-    | [], false -> all
+    | [], false -> all_names
     | names, _ -> names
   in
-  let known n = List.exists (fun (n', _, _) -> n' = n) experiments in
-  match List.filter (fun n -> not (known n)) selected with
-  | u :: _ ->
-    Printf.eprintf "unknown experiment %S; available: %s\n" u (String.concat " " all);
+  let find n = List.find_opt (fun (n', _, _) -> n' = n) Experiments.all in
+  match List.find_opt (fun n -> find n = None) selected with
+  | Some u ->
+    Printf.eprintf "unknown experiment %S; available: %s\n" u (String.concat " " all_names);
     exit 2
-  | [] ->
+  | None ->
     (* Probes run first, on a pristine heap: measured after the sweep
        they would charge the engine for the sweep's heap and fiber-stack
        fragmentation (~15% on the allocation-heavy profiles). *)
@@ -194,11 +109,12 @@ let run_experiments names full jobs json check_against analyze live =
     let records =
       List.map
         (fun name ->
-          let _, _, f = List.find (fun (n, _, _) -> n = name) experiments in
+          let _, title, run = Option.get (find name) in
           let t0 = Unix.gettimeofday () in
           let e0 = Ordo_sim.Engine.events_processed () in
           Harness.net_work := None;
-          f ~full;
+          Report.section title;
+          run ~full;
           ( name,
             Unix.gettimeofday () -. t0,
             Ordo_sim.Engine.events_processed () - e0,
@@ -225,7 +141,7 @@ open Cmdliner
 let names_arg =
   let doc =
     "Experiments to run (default: all).  Available: "
-    ^ String.concat ", " (List.map (fun (n, _, _) -> n) experiments)
+    ^ String.concat ", " all_names
   in
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
 

@@ -144,7 +144,6 @@ let queue_pair_ns ~residency ~iters which =
   wall *. 1e9 /. float_of_int iters
 
 let queue_microbench () =
-  Ordo_util.Report.section "Event queue: wheel vs heap (push/pop pair, live host)";
   Printf.printf "%-34s %-10s %10s\n" "queue" "residency" "ns/pair";
   List.iter
     (fun residency ->

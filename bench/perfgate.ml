@@ -173,6 +173,49 @@ let parse_file path =
   close_in ic;
   parse s
 
+(* The printer for the records [parse] reads.  A container whose members
+   are all scalars goes on one line, any other one member per line.
+   Integral numbers print exactly, others with 3 decimals. *)
+let to_string (j : json) =
+  let b = Buffer.create 4096 in
+  let add = Buffer.add_string b in
+  let str s =
+    add "\"";
+    String.iter
+      (function
+        | '"' -> add "\\\""
+        | '\\' -> add "\\\\"
+        | '\n' -> add "\\n"
+        | c when Char.code c < 0x20 -> add (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    add "\""
+  in
+  let rec value indent = function
+    | Null -> add "null"
+    | Bool v -> add (string_of_bool v)
+    | Num f -> add (if Float.is_integer f then Printf.sprintf "%.0f" f else Printf.sprintf "%.3f" f)
+    | Str s -> str s
+    | Arr vs -> members indent "[" "]" (List.map (fun v -> (None, v)) vs)
+    | Obj kvs -> members indent "{" "}" (List.map (fun (k, v) -> (Some k, v)) kvs)
+  and members indent op cl ms =
+    let flat = List.for_all (function _, (Arr _ | Obj _) -> false | _ -> true) ms in
+    let inner = indent ^ "  " in
+    add op;
+    List.iteri
+      (fun i (k, v) ->
+        add (if i > 0 then "," else "");
+        add (if flat then " " else "\n" ^ inner);
+        Option.iter (fun k -> str k; add ": ") k;
+        value inner v)
+      ms;
+    add (if ms = [] then "" else if flat then " " else "\n" ^ indent);
+    add cl
+  in
+  value "" j;
+  add "\n";
+  Buffer.contents b
+
 (* ---- record access ---- *)
 
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None

@@ -101,14 +101,31 @@ let sources_of = function
   | "both" -> Some [ Kv.Logical; Kv.Ordo ]
   | _ -> None
 
+(* Numeric flags [Kv.run] would reject mid-run, or take silently out of
+   range, are usage errors, caught before anything prints. *)
+let bad_flag ~dur ~batch ~theta ~cross ~read_pct =
+  let pct name v = (v < 0 || v > 100, Printf.sprintf "--%s must be in 0..100, got %d" name v) in
+  List.find_map
+    (fun (bad, msg) -> if bad then Some msg else None)
+    [
+      (dur < 1, Printf.sprintf "--dur must be >= 1, got %d" dur);
+      (batch < 1, Printf.sprintf "--batch must be >= 1, got %d" batch);
+      (not (theta >= 0.0 && theta < 1.0), Printf.sprintf "--theta must be in [0, 1), got %g" theta);
+      pct "cross" cross;
+      pct "read" read_pct;
+    ]
+
 let run_service spec_str source dur arrival batch theta cross read_pct no_check fixture =
   Ordo_sim.Sim.with_fresh_instance @@ fun () ->
-  match sources_of source with
-  | None ->
+  match (bad_flag ~dur ~batch ~theta ~cross ~read_pct, sources_of source) with
+  | Some e, _ ->
+    prerr_endline e;
+    2
+  | None, None ->
     Printf.eprintf "unknown source %S (known: ordo, logical, both)\n" source;
     2
-  | Some _ when fixture -> run_fixture ()
-  | Some sources -> (
+  | None, Some _ when fixture -> run_fixture ()
+  | None, Some sources -> (
     match Net.Spec.of_string spec_str with
     | Error e ->
       prerr_endline e;

@@ -66,6 +66,9 @@ let run machine_name workload scenario_name seed policy_name unguarded threads d
   | Some _ when capacity < 1 ->
     Printf.eprintf "--capacity must be >= 1 (got %d)\n" capacity;
     exit 2
+  | Some _ when dur < 1 ->
+    Printf.eprintf "--dur must be >= 1 (got %d)\n" dur;
+    exit 2
   | Some m when threads < 1 || threads > Topology.total_threads m.Machine.topo ->
     Printf.eprintf "--threads must be in 1..%d on %s (got %d)\n"
       (Topology.total_threads m.Machine.topo) machine_name threads;

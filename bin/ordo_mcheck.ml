@@ -117,6 +117,9 @@ let run names mutants mode bound seed max_inter max_steps spin_bound jobs quiet 
   | _ when spin_bound < 1 ->
     Printf.eprintf "ordo-mcheck: --spin-bound must be >= 1 (got %d)\n" spin_bound;
     2
+  | _ when jobs < 1 ->
+    Printf.eprintf "ordo-mcheck: --jobs must be >= 1 (got %d)\n" jobs;
+    2
   | u :: _, _ ->
     Printf.eprintf "ordo-mcheck: unknown target %S (have: %s)\n" u
       (String.concat ", " (List.map (fun (t : Suites.target) -> t.t_name) pool));

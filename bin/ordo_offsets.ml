@@ -82,7 +82,15 @@ let run machine runs max_cores json =
   (* Each invocation owns its simulator instance; nothing leaks into (or
      from) other library users in the same process. *)
   Ordo_sim.Sim.with_fresh_instance @@ fun () ->
+  if runs < 1 then begin
+    Printf.eprintf "--runs must be >= 1 (got %d)\n" runs;
+    exit 2
+  end;
   match machine with
+  | None when max_cores < 2 ->
+    (* A live measurement needs a pair of cores. *)
+    Printf.eprintf "--max-cores must be >= 2 (got %d)\n" max_cores;
+    exit 2
   | None -> measure_live json runs max_cores
   | Some name -> measure_sim json name runs
 

@@ -58,17 +58,10 @@ let write_json path ~jobs ~full ~probes records total_wall total_events =
   Out_channel.with_open_text path (fun oc -> output_string oc (to_string record));
   Printf.printf "perf record written to %s\n%!" path
 
-let all_names = List.map (fun (n, _, _) -> n) Experiments.all
+(* Every experiment by name, with its section title and body. *)
+let experiments = List.map (fun (name, title, run) -> (name, (title, run))) Experiments.all
 
-let run_experiments names full jobs json check_against analyze live =
-  if jobs < 1 then begin
-    Printf.eprintf "--jobs must be >= 1\n";
-    exit 2
-  end;
-  if check_against <> None && json = None then begin
-    Printf.eprintf "--check-against needs --json (the record to compare)\n";
-    exit 2
-  end;
+let run_experiments selected full jobs (json, check_against) analyze live =
   (* A larger minor heap (32 MB vs the 2 MB default) cuts minor
      collections ~16x on the sweep.  Simulated behavior is unaffected —
      virtual time never depends on the GC — so tables stay byte-identical;
@@ -76,74 +69,69 @@ let run_experiments names full jobs json check_against analyze live =
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 22 };
   Harness.jobs := jobs;
   Harness.live := live;
+  let analyze_exp = ("analyze", List.assoc "analyze" experiments) in
   let selected =
-    match (names, analyze) with
-    | [], true -> [ "analyze" ]
-    | names, true when not (List.mem "analyze" names) -> names @ [ "analyze" ]
-    | [], false -> all_names
-    | names, _ -> names
+    match (selected, analyze) with
+    | [], true -> [ analyze_exp ]
+    | selected, true when not (List.mem_assoc "analyze" selected) -> selected @ [ analyze_exp ]
+    | [], false -> experiments
+    | selected, _ -> selected
   in
-  let find n = List.find_opt (fun (n', _, _) -> n' = n) Experiments.all in
-  match List.find_opt (fun n -> find n = None) selected with
-  | Some u ->
-    Printf.eprintf "unknown experiment %S; available: %s\n" u (String.concat " " all_names);
-    exit 2
-  | None ->
-    (* Probes run first, on a pristine heap: measured after the sweep
-       they would charge the engine for the sweep's heap and fiber-stack
-       fragmentation (~15% on the allocation-heavy profiles). *)
-    let probes = if json <> None then Perfprobe.run () else [] in
-    (* When writing a perf record, measure every machine preset's Ordo
-       boundary up front.  The boundary cache is shared across cells, so
-       without this the first selected experiment to need a machine pays
-       the measurement's simulated events inside its own window — making
-       per-experiment event counts depend on which experiments ran
-       before, which is exactly the column the perf gate compares.
-       Boundary values are deterministic, so tables are unaffected. *)
-    if json <> None then
-      List.iter
-        (fun m -> ignore (Harness.boundary_of m : int))
-        Ordo_sim.Machine.presets;
-    let t0_all = Unix.gettimeofday () in
-    let e0_all = Ordo_sim.Engine.events_processed () in
-    let records =
-      List.map
-        (fun name ->
-          let _, title, run = Option.get (find name) in
-          let t0 = Unix.gettimeofday () in
-          let e0 = Ordo_sim.Engine.events_processed () in
-          Harness.net_work := None;
-          Report.section title;
-          run ~full;
-          ( name,
-            Unix.gettimeofday () -. t0,
-            Ordo_sim.Engine.events_processed () - e0,
-            !Harness.net_work ))
-        selected
-    in
-    print_newline ();
-    let total_wall = Unix.gettimeofday () -. t0_all in
-    let total_events = Ordo_sim.Engine.events_processed () - e0_all in
-    Option.iter
-      (fun path -> write_json path ~jobs ~full ~probes records total_wall total_events)
-      json;
-    (* The perf delta gate (CI): deterministic columns only — exact event
-       counts and network work per experiment, per-event allocation
-       within tolerance. *)
-    Option.iter
-      (fun baseline ->
-        let current = Option.get json in
-        if not (Perfgate.check ~baseline ~current) then exit 1)
-      check_against
+  (* Probes run first, on a pristine heap: measured after the sweep
+     they would charge the engine for the sweep's heap and fiber-stack
+     fragmentation (~15% on the allocation-heavy profiles). *)
+  let probes = if json <> None then Perfprobe.run () else [] in
+  (* When writing a perf record, measure every machine preset's Ordo
+     boundary up front.  The boundary cache is shared across cells, so
+     without this the first selected experiment to need a machine pays
+     the measurement's simulated events inside its own window — making
+     per-experiment event counts depend on which experiments ran
+     before, which is exactly the column the perf gate compares.
+     Boundary values are deterministic, so tables are unaffected. *)
+  if json <> None then
+    List.iter
+      (fun m -> ignore (Harness.boundary_of m : int))
+      Ordo_sim.Machine.presets;
+  let t0_all = Unix.gettimeofday () in
+  let e0_all = Ordo_sim.Engine.events_processed () in
+  let records =
+    List.map
+      (fun (name, (title, run)) ->
+        let t0 = Unix.gettimeofday () in
+        let e0 = Ordo_sim.Engine.events_processed () in
+        Harness.net_work := None;
+        Report.section title;
+        run ~full;
+        ( name,
+          Unix.gettimeofday () -. t0,
+          Ordo_sim.Engine.events_processed () - e0,
+          !Harness.net_work ))
+      selected
+  in
+  print_newline ();
+  let total_wall = Unix.gettimeofday () -. t0_all in
+  let total_events = Ordo_sim.Engine.events_processed () - e0_all in
+  Option.iter
+    (fun path -> write_json path ~jobs ~full ~probes records total_wall total_events)
+    json;
+  (* The perf delta gate (CI): deterministic columns only — exact event
+     counts and network work per experiment, per-event allocation
+     within tolerance. *)
+  match check_against with
+  | Some baseline when not (Perfgate.check ~baseline ~current:(Option.get json)) -> 1
+  | _ -> 0
 
 open Cmdliner
 
 let names_arg =
   let doc =
     "Experiments to run (default: all).  Available: "
-    ^ String.concat ", " all_names
+    ^ String.concat ", " (List.map fst experiments)
   in
-  Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
+  Arg.(
+    value
+    & pos_all (Cli.choice ~what:"experiment" experiments) []
+    & info [] ~docv:"EXPERIMENT" ~doc)
 
 let full_arg =
   let doc = "Paper-scale sweeps: denser core counts, more measurement runs (slower)." in
@@ -154,7 +142,7 @@ let jobs_arg =
     "Run independent experiment cells on $(docv) domains (capped at the host's hardware \
      parallelism).  Output is byte-identical for any job count; only the wall clock changes."
   in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (Cli.int_min 1) 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let json_arg =
   let doc =
@@ -172,6 +160,15 @@ let check_against_arg =
      is never compared, so the gate is reliable on a loaded single-CPU CI host."
   in
   Arg.(value & opt (some string) None & info [ "check-against" ] ~docv:"BASELINE" ~doc)
+
+(* The record to write and the baseline to gate it against. *)
+let record_arg =
+  let pair json baseline =
+    match (json, baseline) with
+    | None, Some _ -> Error "--check-against needs --json (the record to compare)"
+    | _ -> Ok (json, baseline)
+  in
+  Term.(term_result' (const pair $ json_arg $ check_against_arg))
 
 let live_arg =
   let doc =
@@ -205,7 +202,7 @@ let cmd =
   Cmd.v
     (Cmd.info "ordo-bench" ~doc ~man)
     Term.(
-      const run_experiments $ names_arg $ full_arg $ jobs_arg $ json_arg $ check_against_arg
-      $ analyze_arg $ live_arg)
+      const run_experiments $ names_arg $ full_arg $ jobs_arg $ record_arg $ analyze_arg
+      $ live_arg)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cli.eval cmd)

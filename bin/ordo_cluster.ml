@@ -95,100 +95,73 @@ let run_fixture () =
     end
   end
 
-let sources_of = function
-  | "ordo" -> Some [ Kv.Ordo ]
-  | "logical" -> Some [ Kv.Logical ]
-  | "both" -> Some [ Kv.Logical; Kv.Ordo ]
-  | _ -> None
-
-(* Numeric flags [Kv.run] would reject mid-run, or take silently out of
-   range, are usage errors, caught before anything prints. *)
-let bad_flag ~dur ~batch ~theta ~cross ~read_pct =
-  let pct name v = (v < 0 || v > 100, Printf.sprintf "--%s must be in 0..100, got %d" name v) in
-  List.find_map
-    (fun (bad, msg) -> if bad then Some msg else None)
-    [
-      (dur < 1, Printf.sprintf "--dur must be >= 1, got %d" dur);
-      (batch < 1, Printf.sprintf "--batch must be >= 1, got %d" batch);
-      (not (theta >= 0.0 && theta < 1.0), Printf.sprintf "--theta must be in [0, 1), got %g" theta);
-      pct "cross" cross;
-      pct "read" read_pct;
-    ]
-
-let run_service spec_str source dur arrival batch theta cross read_pct no_check fixture =
+let run_service spec (_, sources) dur arrival batch theta cross read_pct no_check fixture =
   Ordo_sim.Sim.with_fresh_instance @@ fun () ->
-  match (bad_flag ~dur ~batch ~theta ~cross ~read_pct, sources_of source) with
-  | Some e, _ ->
-    prerr_endline e;
-    2
-  | None, None ->
-    Printf.eprintf "unknown source %S (known: ordo, logical, both)\n" source;
-    2
-  | None, Some _ when fixture -> run_fixture ()
-  | None, Some sources -> (
-    match Net.Spec.of_string spec_str with
-    | Error e ->
-      prerr_endline e;
-      2
-    | Ok spec ->
-      let c = Compose.measure spec in
-      report_measurement spec c;
-      let cfg =
-        {
-          Kv.default with
-          Kv.dur_ns = dur;
-          arrival_ns = arrival;
-          batch;
-          theta;
-          cross_pct = cross;
-          read_pct;
-        }
-      in
-      let bad = ref false in
-      List.iter
-        (fun src ->
-          let boundary = match src with Kv.Ordo -> c.Compose.boundary | Kv.Logical -> 0 in
-          let r, rep =
-            checked_run ~boundary ~check:(not no_check) spec { cfg with Kv.source = src }
-          in
-          let _ = report_kv_result (Kv.source_name src) r rep in
-          match rep with
-          | Some rep when not (Checker.ok rep) -> bad := true
-          | _ -> ())
-        sources;
-      if !bad then 1 else 0)
+  if fixture then run_fixture ()
+  else begin
+    let c = Compose.measure spec in
+    report_measurement spec c;
+    let cfg =
+      {
+        Kv.default with
+        Kv.dur_ns = dur;
+        arrival_ns = arrival;
+        batch;
+        theta;
+        cross_pct = cross;
+        read_pct;
+      }
+    in
+    let bad = ref false in
+    List.iter
+      (fun src ->
+        let boundary = match src with Kv.Ordo -> c.Compose.boundary | Kv.Logical -> 0 in
+        let r, rep =
+          checked_run ~boundary ~check:(not no_check) spec { cfg with Kv.source = src }
+        in
+        let _ = report_kv_result (Kv.source_name src) r rep in
+        match rep with
+        | Some rep when not (Checker.ok rep) -> bad := true
+        | _ -> ())
+      sources;
+    if !bad then 1 else 0
+  end
 
 let spec_arg =
   let doc = "Cluster spec: <nodes>x<machine>[:base=..,jitter=..,overhead=..,mode=fifo|reorder,skew=..,seed=..]." in
-  Arg.(value & opt string "4xamd" & info [ "spec" ] ~docv:"SPEC" ~doc)
+  Arg.(value & opt Cli.spec (Cli.default Cli.spec "4xamd") & info [ "spec" ] ~docv:"SPEC" ~doc)
 
 let source_arg =
   let doc = "Timestamp source: ordo, logical, or both." in
-  Arg.(value & opt string "both" & info [ "source" ] ~docv:"SRC" ~doc)
+  let sources =
+    Cli.choice ~what:"source"
+      [ ("ordo", [ Kv.Ordo ]); ("logical", [ Kv.Logical ]); ("both", [ Kv.Logical; Kv.Ordo ]) ]
+  in
+  Arg.(value & opt sources (Cli.default sources "both") & info [ "source" ] ~docv:"SRC" ~doc)
 
 let dur_arg =
   let doc = "Arrival window in virtual ns." in
-  Arg.(value & opt int 200_000 & info [ "dur" ] ~docv:"NS" ~doc)
+  Arg.(value & opt (Cli.int_min 1) 200_000 & info [ "dur" ] ~docv:"NS" ~doc)
 
 let arrival_arg =
   let doc = "Mean inter-arrival of the client stream (ns)." in
-  Arg.(value & opt int 150 & info [ "arrival" ] ~docv:"NS" ~doc)
+  Arg.(value & opt (Cli.int_min 1) 150 & info [ "arrival" ] ~docv:"NS" ~doc)
 
 let batch_arg =
   let doc = "Transactions per client request message." in
-  Arg.(value & opt int 1 & info [ "batch" ] ~docv:"N" ~doc)
+  Arg.(value & opt (Cli.int_min 1) 1 & info [ "batch" ] ~docv:"N" ~doc)
 
 let theta_arg =
   let doc = "Zipf skew of the key popularity." in
-  Arg.(value & opt float 0.6 & info [ "theta" ] ~docv:"T" ~doc)
+  Arg.(value & opt (Cli.float_in 0.0 1.0) 0.6 & info [ "theta" ] ~docv:"T" ~doc)
 
 let cross_arg =
   let doc = "Cross-shard transfers, percent of all transactions." in
-  Arg.(value & opt int 10 & info [ "cross" ] ~docv:"PCT" ~doc)
+  Arg.(value & opt (Cli.int_in 0 100) 10 & info [ "cross" ] ~docv:"PCT" ~doc)
 
 let read_arg =
   let doc = "Read transactions, percent of all transactions." in
-  Arg.(value & opt int 50 & info [ "read" ] ~docv:"PCT" ~doc)
+  Arg.(value & opt (Cli.int_in 0 100) 50 & info [ "read" ] ~docv:"PCT" ~doc)
 
 let no_check_arg =
   let doc = "Skip tracing and the offline ordering check." in
@@ -209,4 +182,4 @@ let cmd =
       const run_service $ spec_arg $ source_arg $ dur_arg $ arrival_arg $ batch_arg
       $ theta_arg $ cross_arg $ read_arg $ no_check_arg $ fixture_arg)
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Cli.eval cmd)

@@ -99,4 +99,4 @@ let cmd =
   Cmd.v (Cmd.info "ordo-lint" ~doc ~man)
     Term.(const run $ roots_arg $ all_rules_arg $ quiet_arg)
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Cli.eval cmd)

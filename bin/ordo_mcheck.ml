@@ -5,7 +5,7 @@
    Exit status: 0 when every selected genuine target verifies and every
    selected mutant is killed; 1 when a genuine target reports a
    violation, a mutant survives, or an exploration budget is exceeded;
-   2 on usage errors (unknown target).
+   2 on usage errors (an unknown target or mode, a number out of range).
 
    Output is deterministic for a given command line: exploration is
    depth-first with a seed-rotated default choice, counterexample
@@ -102,72 +102,63 @@ let run_all ~jobs ~config ~expect_kill targets =
   end;
   Array.to_list (Array.map Option.get reports)
 
-let parse_mode mode bound =
-  match (mode, bound) with
-  | _, Some k -> Ok (Mcheck.Bounded k)
-  | "dpor", None -> Ok Mcheck.Dpor
-  | "exhaustive", None -> Ok Mcheck.Exhaustive
-  | m, None -> Error (Printf.sprintf "unknown mode %S (dpor|exhaustive)" m)
-
-let run names mutants mode bound seed max_inter max_steps spin_bound jobs quiet =
-  let pool = if mutants then Mutants.all else Suites.all in
-  let find n = List.find_opt (fun (t : Suites.target) -> t.t_name = n) pool in
-  let unknown = List.filter (fun n -> find n = None) names in
-  match (unknown, parse_mode mode bound) with
-  | _ when spin_bound < 1 ->
-    Printf.eprintf "ordo-mcheck: --spin-bound must be >= 1 (got %d)\n" spin_bound;
-    2
-  | _ when jobs < 1 ->
-    Printf.eprintf "ordo-mcheck: --jobs must be >= 1 (got %d)\n" jobs;
-    2
-  | u :: _, _ ->
-    Printf.eprintf "ordo-mcheck: unknown target %S (have: %s)\n" u
-      (String.concat ", " (List.map (fun (t : Suites.target) -> t.t_name) pool));
-    2
-  | [], Error msg ->
-    Printf.eprintf "ordo-mcheck: %s\n" msg;
-    2
-  | [], Ok mode ->
-    let targets =
-      if names = [] then pool else List.filter_map find names
-    in
-    let config =
-      {
-        Mcheck.default with
-        Mcheck.mode;
-        seed;
-        max_interleavings = max_inter;
-        max_steps;
-        spin_bound;
-      }
-    in
-    let reports = run_all ~jobs ~config ~expect_kill:mutants targets in
-    List.iter (fun r -> print_string r.r_text) reports;
-    let failed = List.filter (fun r -> r.r_failed) reports in
-    if not quiet then
-      Printf.printf "ordo-mcheck: %d targets, %d %s\n" (List.length reports)
-        (List.length failed)
-        (if mutants then "surviving mutants" else "failures");
-    if failed <> [] then 1 else 0
-
-let names_arg =
-  let doc = "Targets to check (default: all).  See the target list in the man page." in
-  Arg.(value & pos_all string [] & info [] ~docv:"TARGET" ~doc)
-
-let mutants_arg =
-  let doc =
-    "Check the seeded mutants from test/mutants instead of the genuine structures; the \
-     expectation flips — every mutant must be $(i,killed) (a violation found) for exit 0."
+let run (expect_kill, targets) (_, mode) bound seed max_inter max_steps spin_bound jobs quiet =
+  let mode = match bound with Some k -> Mcheck.Bounded k | None -> mode in
+  let config =
+    {
+      Mcheck.default with
+      Mcheck.mode;
+      seed;
+      max_interleavings = max_inter;
+      max_steps;
+      spin_bound;
+    }
   in
-  Arg.(value & flag & info [ "mutants" ] ~doc)
+  let reports = run_all ~jobs ~config ~expect_kill targets in
+  List.iter (fun r -> print_string r.r_text) reports;
+  let failed = List.filter (fun r -> r.r_failed) reports in
+  if not quiet then
+    Printf.printf "ordo-mcheck: %d targets, %d %s\n" (List.length reports)
+      (List.length failed)
+      (if expect_kill then "surviving mutants" else "failures");
+  if failed <> [] then 1 else 0
+
+(* The targets named on the command line (all by default), from the
+   mutant pool under --mutants, with whether each must be killed. *)
+let targets_arg =
+  let names =
+    let doc = "Targets to check (default: all).  See the target list in the man page." in
+    Arg.(value & pos_all string [] & info [] ~docv:"TARGET" ~doc)
+  in
+  let mutants =
+    let doc =
+      "Check the seeded mutants from test/mutants instead of the genuine structures; the \
+       expectation flips — every mutant must be $(i,killed) (a violation found) for exit 0."
+    in
+    Arg.(value & flag & info [ "mutants" ] ~doc)
+  in
+  let pick names mutants =
+    let pool = if mutants then Mutants.all else Suites.all in
+    let find n = List.find_opt (fun (t : Suites.target) -> t.t_name = n) pool in
+    match List.find_opt (fun n -> find n = None) names with
+    | Some u ->
+      Error
+        (Printf.sprintf "unknown target %S (have: %s)" u
+           (String.concat ", " (List.map (fun (t : Suites.target) -> t.t_name) pool)))
+    | None -> Ok (mutants, if names = [] then pool else List.filter_map find names)
+  in
+  Term.(term_result' (const pick $ names $ mutants))
 
 let mode_arg =
   let doc = "Exploration mode: $(b,dpor) (default) or $(b,exhaustive) (no pruning)." in
-  Arg.(value & opt string "dpor" & info [ "mode" ] ~docv:"MODE" ~doc)
+  let modes =
+    Cli.choice ~what:"mode" [ ("dpor", Mcheck.Dpor); ("exhaustive", Mcheck.Exhaustive) ]
+  in
+  Arg.(value & opt modes (Cli.default modes "dpor") & info [ "mode" ] ~docv:"MODE" ~doc)
 
 let bound_arg =
   let doc = "Bounded-preemption DFS with at most $(docv) preemptions (overrides --mode)." in
-  Arg.(value & opt (some int) None & info [ "preemption-bound" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some (Cli.int_min 0)) None & info [ "preemption-bound" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc = "Rotates the default thread choice (determinism tests vary it)." in
@@ -175,22 +166,22 @@ let seed_arg =
 
 let max_inter_arg =
   let doc = "Exploration budget: give up on a target beyond $(docv) interleavings." in
-  Arg.(value & opt int 2_000_000 & info [ "max-interleavings" ] ~docv:"N" ~doc)
+  Arg.(value & opt (Cli.int_min 1) 2_000_000 & info [ "max-interleavings" ] ~docv:"N" ~doc)
 
 let max_steps_arg =
   let doc = "Per-interleaving step cap." in
-  Arg.(value & opt int 100_000 & info [ "max-steps" ] ~docv:"N" ~doc)
+  Arg.(value & opt (Cli.int_min 1) 100_000 & info [ "max-steps" ] ~docv:"N" ~doc)
 
 let spin_arg =
   let doc = "Barren pause rounds before a livelock verdict (at least 1)." in
-  Arg.(value & opt int 16 & info [ "spin-bound" ] ~docv:"N" ~doc)
+  Arg.(value & opt (Cli.int_min 1) 16 & info [ "spin-bound" ] ~docv:"N" ~doc)
 
 let jobs_arg =
   let doc =
     "Explore up to $(docv) targets in parallel (domains).  Output bytes are identical \
      for any value: reports print in command-line order."
   in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  Arg.(value & opt (Cli.int_min 1) 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let quiet_arg =
   let doc = "Print only the per-target reports, no summary line." in
@@ -211,7 +202,7 @@ let cmd =
   in
   Cmd.v (Cmd.info "ordo-mcheck" ~doc ~man)
     Term.(
-      const run $ names_arg $ mutants_arg $ mode_arg $ bound_arg $ seed_arg $ max_inter_arg
+      const run $ targets_arg $ mode_arg $ bound_arg $ seed_arg $ max_inter_arg
       $ max_steps_arg $ spin_arg $ jobs_arg $ quiet_arg)
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Cli.eval cmd)

@@ -61,50 +61,40 @@ let measure_live json runs max_cores =
     emit ~json ~source:"live" ~cores ~runs ~matrix ~boundary
   end
 
-let measure_sim json name runs =
-  match Ordo_sim.Machine.by_name name with
-  | None ->
-    Printf.eprintf "unknown machine %S (available: xeon phi amd arm)\n" name;
-    exit 2
-  | Some m ->
-    if not json then
-      Report.section (Printf.sprintf "Simulated clock-offset measurement: %s" name);
-    let module E = (val Ordo_sim.Sim.exec m) in
-    let module B = Ordo_core.Boundary.Make (E) in
-    let total = Ordo_util.Topology.total_threads m.Ordo_sim.Machine.topo in
-    let stride = max 1 (total / 16) in
-    let cores = List.filter (fun i -> i mod stride = 0) (List.init total Fun.id) in
-    let matrix = B.offset_matrix ~runs ~cores () in
-    let boundary = B.measure ~runs ~cores () in
-    emit ~json ~source:name ~cores ~runs ~matrix ~boundary
+let measure_sim json (name, m) runs =
+  if not json then
+    Report.section (Printf.sprintf "Simulated clock-offset measurement: %s" name);
+  let module E = (val Ordo_sim.Sim.exec m) in
+  let module B = Ordo_core.Boundary.Make (E) in
+  let total = Ordo_util.Topology.total_threads m.Ordo_sim.Machine.topo in
+  let stride = max 1 (total / 16) in
+  let cores = List.filter (fun i -> i mod stride = 0) (List.init total Fun.id) in
+  let matrix = B.offset_matrix ~runs ~cores () in
+  let boundary = B.measure ~runs ~cores () in
+  emit ~json ~source:name ~cores ~runs ~matrix ~boundary
 
 let run machine runs max_cores json =
   (* Each invocation owns its simulator instance; nothing leaks into (or
      from) other library users in the same process. *)
   Ordo_sim.Sim.with_fresh_instance @@ fun () ->
-  if runs < 1 then begin
-    Printf.eprintf "--runs must be >= 1 (got %d)\n" runs;
-    exit 2
-  end;
-  match machine with
-  | None when max_cores < 2 ->
-    (* A live measurement needs a pair of cores. *)
-    Printf.eprintf "--max-cores must be >= 2 (got %d)\n" max_cores;
-    exit 2
+  (match machine with
   | None -> measure_live json runs max_cores
-  | Some name -> measure_sim json name runs
+  | Some m -> measure_sim json m runs);
+  0
 
 let machine_arg =
   let doc = "Measure a simulated Table 1 machine (xeon, phi, amd, arm) instead of the host." in
-  Arg.(value & opt (some string) None & info [ "machine"; "m" ] ~docv:"NAME" ~doc)
+  Arg.(value & opt (some Cli.machine) None & info [ "machine"; "m" ] ~docv:"NAME" ~doc)
 
 let runs_arg =
   let doc = "Measurement rounds per core pair (the minimum is kept)." in
-  Arg.(value & opt int 1000 & info [ "runs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (Cli.int_min 1) 1000 & info [ "runs" ] ~docv:"N" ~doc)
 
 let max_cores_arg =
-  let doc = "Limit the number of live cores measured (pairs grow quadratically)." in
-  Arg.(value & opt int 16 & info [ "max-cores" ] ~docv:"N" ~doc)
+  let doc =
+    "Limit the number of live cores measured (pairs grow quadratically; at least 2)."
+  in
+  Arg.(value & opt (Cli.int_min 2) 16 & info [ "max-cores" ] ~docv:"N" ~doc)
 
 let json_arg =
   let doc = "Emit the offsets matrix and boundary as JSON instead of the text report." in
@@ -115,4 +105,4 @@ let cmd =
   Cmd.v (Cmd.info "ordo-offsets" ~doc)
     Term.(const run $ machine_arg $ runs_arg $ max_cores_arg $ json_arg)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cli.eval cmd)

@@ -101,83 +101,62 @@ let report_cell c =
   in
   broken = [] && checker_ok
 
-(* The first numeric flag out of range, as a usage message. *)
-let bad_flag ~sessions ~dur ~epoch ~jobs =
-  List.find_map
-    (fun (name, v, min) ->
-      if v >= min then None else Some (Printf.sprintf "--%s must be >= %d, got %d" name min v))
-    [ ("sessions", sessions, 1); ("dur", dur, 1); ("epoch", epoch, 0); ("jobs", jobs, 1) ]
-
-let run_main spec_str sessions dur epoch compare_flag fault_name seed jobs no_check
-    =
-  match (bad_flag ~sessions ~dur ~epoch ~jobs, Net.Spec.of_string spec_str) with
-  | Some e, _ | None, Error e ->
-    prerr_endline e;
-    2
-  | None, Ok spec ->
-    (match Node_fault.by_name fault_name with
-    | None ->
-      Printf.eprintf "unknown fault scenario %S (known: %s)\n" fault_name
-        (String.concat ", " Node_fault.names);
-      2
-    | Some preset ->
-      let boundary =
-        Ordo_sim.Sim.with_fresh_instance @@ fun () ->
-        let c = Compose.measure spec in
-        Report.section
-          (Printf.sprintf "Composed Ordo measurement: %s" (Net.Spec.to_string spec));
-        Report.kv "nodes" (string_of_int spec.Net.Spec.nodes);
-        Report.kv "replica groups"
-          (Printf.sprintf "%dx%d" (Net.Spec.groups spec) spec.Net.Spec.replicas);
-        Report.kv "ORDO_BOUNDARY_cluster (ns)" (string_of_int c.Compose.boundary);
-        c.Compose.boundary
-      in
-      let fault =
-        preset ~seed ~dur ~groups:(Net.Spec.groups spec)
-          ~replicas:spec.Net.Spec.replicas
-      in
-      let cfg =
-        {
-          Service.default with
-          Service.profile =
-            { Sessions.default with Sessions.sessions; dur_ns = dur };
-          epoch_ns = epoch;
-          seed;
-        }
-      in
-      let cells =
-        if compare_flag then
-          [
-            ("epoch group-commit", { cfg with Service.epoch_ns = Int.max 1 epoch });
-            ("per-txn commit wait", { cfg with Service.epoch_ns = 0 });
-          ]
-        else [ ((if epoch = 0 then "per-txn commit wait" else "epoch group-commit"), cfg) ]
-      in
-      let results =
-        Ordo_sim.Pool.map ~jobs
-          (fun (label, cfg) ->
-            run_cell ~boundary ~check:(not no_check) ~label spec cfg fault)
-          cells
-      in
-      if List.for_all report_cell results then 0 else 1)
+let run_main spec sessions dur epoch compare_flag (_, preset) seed jobs no_check =
+  let boundary =
+    Ordo_sim.Sim.with_fresh_instance @@ fun () ->
+    let c = Compose.measure spec in
+    Report.section
+      (Printf.sprintf "Composed Ordo measurement: %s" (Net.Spec.to_string spec));
+    Report.kv "nodes" (string_of_int spec.Net.Spec.nodes);
+    Report.kv "replica groups"
+      (Printf.sprintf "%dx%d" (Net.Spec.groups spec) spec.Net.Spec.replicas);
+    Report.kv "ORDO_BOUNDARY_cluster (ns)" (string_of_int c.Compose.boundary);
+    c.Compose.boundary
+  in
+  let fault =
+    preset ~seed ~dur ~groups:(Net.Spec.groups spec) ~replicas:spec.Net.Spec.replicas
+  in
+  let cfg =
+    {
+      Service.default with
+      Service.profile = { Sessions.default with Sessions.sessions; dur_ns = dur };
+      epoch_ns = epoch;
+      seed;
+    }
+  in
+  let cells =
+    if compare_flag then
+      [
+        ("epoch group-commit", { cfg with Service.epoch_ns = Int.max 1 epoch });
+        ("per-txn commit wait", { cfg with Service.epoch_ns = 0 });
+      ]
+    else [ ((if epoch = 0 then "per-txn commit wait" else "epoch group-commit"), cfg) ]
+  in
+  let results =
+    Ordo_sim.Pool.map ~jobs
+      (fun (label, cfg) -> run_cell ~boundary ~check:(not no_check) ~label spec cfg fault)
+      cells
+  in
+  if List.for_all report_cell results then 0 else 1
 
 let spec_arg =
   let doc =
     "Cluster spec: <groups>x<replicas>x<machine>[:k=v,..], e.g. 3x2xamd."
   in
-  Arg.(value & opt string "3x2xamd" & info [ "spec" ] ~docv:"SPEC" ~doc)
+  Arg.(
+    value & opt Cli.spec (Cli.default Cli.spec "3x2xamd") & info [ "spec" ] ~docv:"SPEC" ~doc)
 
 let sessions_arg =
   let doc = "Client sessions to open over the arrival window." in
-  Arg.(value & opt int 400 & info [ "sessions" ] ~docv:"N" ~doc)
+  Arg.(value & opt (Cli.int_min 1) 400 & info [ "sessions" ] ~docv:"N" ~doc)
 
 let dur_arg =
   let doc = "Arrival window in virtual ns (the run then drains)." in
-  Arg.(value & opt int 400_000 & info [ "dur" ] ~docv:"NS" ~doc)
+  Arg.(value & opt (Cli.int_min 1) 400_000 & info [ "dur" ] ~docv:"NS" ~doc)
 
 let epoch_arg =
   let doc = "Group-commit epoch in ns; 0 commit-waits per transaction." in
-  Arg.(value & opt int 1_500 & info [ "epoch" ] ~docv:"NS" ~doc)
+  Arg.(value & opt (Cli.int_min 0) 1_500 & info [ "epoch" ] ~docv:"NS" ~doc)
 
 let compare_arg =
   let doc = "Run both epoch group-commit and per-txn commit-wait cells." in
@@ -185,7 +164,8 @@ let compare_arg =
 
 let fault_arg =
   let doc = "Chaos scenario: none, primary_kill or rolling." in
-  Arg.(value & opt string "none" & info [ "fault" ] ~docv:"NAME" ~doc)
+  let faults = Cli.choice ~what:"fault scenario" Node_fault.all in
+  Arg.(value & opt faults (Cli.default faults "none") & info [ "fault" ] ~docv:"NAME" ~doc)
 
 let seed_arg =
   let doc = "Workload / scenario seed." in
@@ -193,7 +173,7 @@ let seed_arg =
 
 let jobs_arg =
   let doc = "Domains for independent cells (output is identical for any value)." in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (Cli.int_min 1) 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let no_check_arg =
   let doc = "Skip tracing and the offline ordering check." in
@@ -209,4 +189,4 @@ let cmd =
       const run_main $ spec_arg $ sessions_arg $ dur_arg $ epoch_arg
       $ compare_arg $ fault_arg $ seed_arg $ jobs_arg $ no_check_arg)
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Cli.eval cmd)

@@ -101,7 +101,8 @@ let timeline (t : Trace.t) =
           add (Printf.sprintf "guard degrades to logical fallback (seed %d)" e.b)
       | _ -> ())
     t.events;
-  List.rev_map (fun (time, line) -> (time - base, line)) !entries |> List.rev
+  (* [entries] is newest first; the timeline reads oldest first. *)
+  List.rev_map (fun (time, line) -> (time - base, line)) !entries
 
 let describe (s : summary) =
   let opt = function None -> "-" | Some v -> string_of_int v in

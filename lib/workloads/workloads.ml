@@ -188,6 +188,6 @@ let run name ?(report = true) ?scenario machine ts ~threads ~dur : Engine.stats 
   | "window" -> window_workload ~certain:false ?scenario machine ts ~dur
   | "handshake" -> window_workload ~certain:true ?scenario machine ts ~dur
   | _ ->
-    Printf.eprintf "unknown workload %S (available: %s)\n" name
-      (String.concat " " names);
-    exit 2
+    invalid_arg
+      (Printf.sprintf "Workloads.run: unknown workload %S (available: %s)" name
+         (String.concat " " names))

@@ -29,5 +29,5 @@ val run :
   Ordo_sim.Engine.stats
 (** [run name machine ts ~threads ~dur] executes the named workload for
     [dur] virtual ns.  [report] (default true) prints a short result
-    line; [scenario] injects clock faults.  Exits the process with code
-    2 on an unknown name (the callers are CLIs). *)
+    line; [scenario] injects clock faults.
+    @raise Invalid_argument on a name not in {!names}. *)

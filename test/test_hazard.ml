@@ -222,6 +222,19 @@ let test_remeasure_policy_consults_hook () =
     check Alcotest.bool "remeasurements traced" true (s.Timeline.remeasurements > 0)
   | None -> assert false
 
+(* Timeline times count from the run's first hazard or guard event (its
+   first guard stamp, on a guarded run), so they ascend from 0. *)
+let test_timeline_oldest_first () =
+  let _, t, _, _ = run_occ ~policy:Guard.Inflate "resync" in
+  let timeline = Timeline.timeline t in
+  let times = List.map fst timeline in
+  check Alcotest.bool "a detection is on the timeline" true
+    ((Timeline.summarize t).Timeline.detections > 0);
+  check Alcotest.bool "no time below 0" true (List.hd times >= 0);
+  check Alcotest.(list int) "times ascend" (List.sort compare times) times;
+  check Alcotest.bool "the hazard comes before its detection" true
+    (String.starts_with ~prefix:"hazard" (snd (List.hd timeline)))
+
 (* ---- guard semantics under simulation ---- *)
 
 let test_guard_new_time_certain () =
@@ -309,4 +322,5 @@ let suite =
     ("guarded new_time certain", `Quick, test_guard_new_time_certain);
     ("guard config validation", `Quick, test_guard_config_validation);
     ("trace order under hazards", `Quick, test_trace_order_under_hazards);
+    ("timeline oldest first", `Quick, test_timeline_oldest_first);
   ]

@@ -23,4 +23,5 @@ let () =
       ("cluster", Test_cluster.suite);
       ("service", Test_service.suite);
       ("mcheck", Test_mcheck.suite);
+      ("cli", Test_cli.suite);
     ]
